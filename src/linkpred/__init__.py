@@ -14,6 +14,7 @@ from .evaluate import (
     ScorerFactory,
     TrialRecord,
     derive_seed,
+    draw_comparisons,
     estimate_auc,
     paired_difference,
     run_experiment,

@@ -1,10 +1,11 @@
 """Sampling AUC estimation and the repeated-partition experiment harness.
 
 AUC is estimated by n paired draws: a uniform withheld edge against a
-sampled nonexistent pair, tallying strict wins as n' and everything else
-(ties included) as n''; AUC = (n' + 0.5 n'') / n. Experiments use a paired
-design: every level (index kind, c value, dimension, ...) is evaluated on
-the same train/test partitions, trial by trial.
+sampled nonexistent pair, tallying wins, ties and losses of the withheld
+edge. Experiments use a paired design: every level (index kind, c value,
+dimension, ...) is evaluated on the same train/test partitions, trial by
+trial. Per trial, the training graph is built once and the n draws are made
+once; every level scores that same graph and those same draws.
 """
 
 from __future__ import annotations
@@ -15,22 +16,43 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from .graph import EdgePartition, Graph, sample_non_neighbor, split_edges
+from .graph import (
+    Edge,
+    EdgePartition,
+    Graph,
+    SaturatedNodeError,
+    sample_non_neighbor,
+    split_edges,
+)
 
 ScoreFn = Callable[[Graph, int, int], float]
+# (withheld test edge, or None if it leaves the training graph; sampled non-edge)
+Draw = tuple[Optional[Edge], Edge]
 
 
 @dataclass(frozen=True)
 class AucTally:
-    n: int
-    n_higher: int  # existing edge scored strictly greater
-    n_not_higher: int  # existing edge scored less than or equal
+    wins: int  # withheld edge scored strictly greater than the non-edge
+    ties: int  # scored equal
+    losses: int  # scored less (or unordered, e.g. NaN)
+
+    @property
+    def n(self) -> int:
+        return self.wins + self.ties + self.losses
 
     @property
     def auc(self) -> float:
-        return (self.n_higher + 0.5 * self.n_not_higher) / self.n
+        """(wins + 0.5 (ties + losses)) / n: losses are credited 0.5 like
+        ties, so a random scorer gets about 0.75, not 0.5."""
+        return (self.wins + 0.5 * (self.ties + self.losses)) / self.n
+
+    @property
+    def auc_ties_only(self) -> float:
+        """(wins + 0.5 ties) / n, the Lü–Zhou form: a random scorer gets
+        about 0.5."""
+        return (self.wins + 0.5 * self.ties) / self.n
 
 
 @dataclass(frozen=True)
@@ -59,45 +81,57 @@ def derive_seed(seed: int, *labels: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def estimate_auc(
+def draw_comparisons(
     partition: EdgePartition,
-    scorer: Scorer,
+    g_train: Graph,
     n: int = 1000,
     seed: int = 0,
-) -> AucTally:
-    """n paired comparisons of a random withheld edge vs a sampled non-edge.
+) -> tuple[Draw, ...]:
+    """n (withheld edge, sampled non-edge) pairs for :func:`estimate_auc`.
 
-    A withheld edge whose endpoint is absent from the training graph scores
-    0. The nonexistent pair is a uniform training-graph node plus a uniform
+    The withheld edge is a uniform test edge, or None when an endpoint is
+    absent from the training graph (it then scores 0). The nonexistent pair
+    is a uniform training node that has a non-neighbor plus a uniform
     non-neighbor of it (not uniform over all non-edges; it leans toward
-    pairs incident to sparse neighborhoods). Deterministic for a fixed seed.
+    pairs incident to sparse neighborhoods). Raises
+    :class:`SaturatedNodeError` when every training node is adjacent to
+    every other. Deterministic for a fixed seed.
     """
     if n < 1:
         raise ValueError("need at least one comparison")
     if not partition.test:
         raise ValueError("empty test set")
-    g_train = Graph(partition.train)
     if g_train.num_edges == 0:
         raise ValueError("empty training graph")
-    rng = random.Random(seed)
     adjacency = g_train.adjacency
-    nodes = g_train.node_list
-    higher = 0
-    not_higher = 0
+    full_degree = g_train.num_nodes - 1
+    starts = [u for u in g_train.node_list if len(adjacency[u]) < full_degree]
+    if not starts:
+        raise SaturatedNodeError("every training node is adjacent to every other node")
+    rng = random.Random(seed)
+    draws: list[Draw] = []
     for _ in range(n):
         u, v = rng.choice(partition.test)
-        if u not in adjacency or v not in adjacency:
-            existing = 0.0
-        else:
-            existing = scorer.score(g_train, u, v)
-        a = rng.choice(nodes)
-        b = sample_non_neighbor(g_train, a, rng)
-        nonexistent = scorer.score(g_train, a, b)
+        withheld = (u, v) if u in adjacency and v in adjacency else None
+        a = rng.choice(starts)
+        draws.append((withheld, (a, sample_non_neighbor(g_train, a, rng))))
+    return tuple(draws)
+
+
+def estimate_auc(g_train: Graph, draws: Sequence[Draw], scorer: Scorer) -> AucTally:
+    """Score each drawn pair on ``g_train`` and tally the comparisons."""
+    score = scorer.score
+    wins = ties = losses = 0
+    for withheld, (a, b) in draws:
+        existing = 0.0 if withheld is None else score(g_train, *withheld)
+        nonexistent = score(g_train, a, b)
         if existing > nonexistent:
-            higher += 1
+            wins += 1
+        elif existing == nonexistent:
+            ties += 1
         else:
-            not_higher += 1
-    return AucTally(n=n, n_higher=higher, n_not_higher=not_higher)
+            losses += 1
+    return AucTally(wins=wins, ties=ties, losses=losses)
 
 
 @dataclass(frozen=True)
@@ -131,10 +165,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Paired repeated-partition experiment.
 
-    Trial t uses partition seed base_seed + t; every level is built on and
-    evaluated against that same partition, and shares the trial's comparison
-    draws, so per-trial differences are within-partition. Deterministic end
-    to end.
+    Trial t uses partition seed base_seed + t. The trial's training graph is
+    built once and its comparisons are drawn once; every level is built on
+    that graph and scores those same draws, so per-trial differences are
+    within-partition. Deterministic end to end.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -145,10 +179,12 @@ def run_experiment(
         part_seed = base_seed + t
         partition = split_edges(g_full, test_fraction, part_seed)
         g_train = Graph(partition.train)
-        eval_seed = derive_seed(part_seed, "auc")
+        draws = draw_comparisons(
+            partition, g_train, comparisons, derive_seed(part_seed, "auc")
+        )
         for factory in levels:
             scorer = factory.build(g_train, derive_seed(part_seed, "build", factory.tag))
-            tally = estimate_auc(partition, scorer, comparisons, eval_seed)
+            tally = estimate_auc(g_train, draws, scorer)
             records.append(TrialRecord(part_seed, factory.tag, tally.auc))
     return ExperimentResult(tuple(records))
 

@@ -28,15 +28,19 @@ def build_transition(g: Graph) -> np.ndarray:
     if g.num_nodes == 0:
         raise ValueError("cannot build a transition matrix for an empty graph")
     n = g.num_nodes
+    degrees = np.array([len(g.adjacency[u]) for u in g.node_list])
+    if not degrees.all():
+        u = g.node_list[int(np.argmin(degrees))]
+        raise ValueError(f"degree-zero node {u}: transition row undefined")
+    index = g.dense_index
+    rows = np.repeat(np.arange(n), degrees)
+    cols = np.fromiter(
+        (index[v] for u in g.node_list for v in g.adjacency[u]),
+        dtype=np.intp,
+        count=len(rows),
+    )
     P = np.zeros((n, n))
-    for u in g.node_list:
-        k = g.degree(u)
-        if k == 0:
-            raise ValueError(f"degree-zero node {u}: transition row undefined")
-        i = g.dense_index[u]
-        w = 1.0 / k
-        for v in g.adjacency[u]:
-            P[i, g.dense_index[v]] = w
+    P[rows, cols] = 1.0 / degrees[rows]
     return P
 
 

@@ -1,0 +1,156 @@
+import random
+
+import pytest
+
+from linkpred import datasets, evaluate
+from linkpred.evaluate import (
+    AucTally,
+    Scorer,
+    ScorerFactory,
+    draw_comparisons,
+    estimate_auc,
+    run_experiment,
+)
+from linkpred.graph import EdgePartition, Graph, SaturatedNodeError, split_edges
+from linkpred.indices import LOCAL_INDICES
+from linkpred.pipelines import local_index_factory, rwr_factory
+
+# Per-trial AUCs of run_experiment(g(1), GOLDEN_LEVELS, trials=3) as a
+# harness that rebuilt the training graph and redrew the comparisons per
+# level gave them; sharing both across levels must not move a single value.
+GOLDEN = {
+    "usair_like": {
+        "cn": (0.85, 0.85, 0.84),
+        "hub_prom": (0.8645, 0.875, 0.8675),
+        "hub_depr": (0.844, 0.8535, 0.8365),
+        "lhn1": (0.8305, 0.851, 0.8335),
+        "aa": (0.877, 0.882, 0.8695),
+        "lhn1_var": (0.8715, 0.872, 0.8655),
+        "rwr_c=0.1": (0.8945, 0.92, 0.9015),
+        "rwr_c=0.5": (0.9005, 0.925, 0.9035),
+        "rwr_c=0.9": (0.902, 0.91, 0.9055),
+    },
+    "florida_like": {
+        "cn": (0.8225, 0.8195, 0.8245),
+        "hub_prom": (0.8225, 0.831, 0.8345),
+        "hub_depr": (0.8025, 0.806, 0.804),
+        "lhn1": (0.745, 0.748, 0.7745),
+        "aa": (0.8365, 0.829, 0.8335),
+        "lhn1_var": (0.8305, 0.8315, 0.8335),
+        "rwr_c=0.1": (0.828, 0.8215, 0.829),
+        "rwr_c=0.5": (0.83, 0.829, 0.8375),
+        "rwr_c=0.9": (0.8325, 0.8445, 0.8435),
+    },
+}
+GOLDEN_LEVELS = [local_index_factory(k) for k in LOCAL_INDICES] + [
+    rwr_factory(c) for c in (0.1, 0.5, 0.9)
+]
+
+
+def _wheel(n):
+    """Hub 0 joined to every node of the cycle 1..n-1."""
+    return Graph([(0, i) for i in range(1, n)] + [(i, i % (n - 1) + 1) for i in range(1, n)])
+
+
+def _random_factory(tag):
+    def build(g_train, seed):
+        rng = random.Random(seed)
+        return Scorer(tag, lambda g, u, v: rng.random())
+
+    return ScorerFactory(tag, build)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_per_trial_aucs(name):
+    result = run_experiment(getattr(datasets, name)(1), GOLDEN_LEVELS, trials=3)
+    assert {level: result.aucs(level) for level in result.levels()} == GOLDEN[name]
+
+
+def test_levels_see_identical_pairs():
+    seen = {}
+
+    def recording(tag):
+        def build(g_train, seed):
+            calls = seen.setdefault(tag, [])
+            return Scorer(tag, lambda g, u, v: calls.append((u, v)) or 0.0)
+
+        return ScorerFactory(tag, build)
+
+    run_experiment(datasets.usair_like(2), [recording("a"), recording("b")],
+                   trials=2, comparisons=50)
+    assert len(seen["a"]) > 100
+    assert seen["a"] == seen["b"]
+
+
+def test_training_graph_built_once_per_trial(monkeypatch):
+    calls = []
+
+    def counting_graph(pairs):
+        calls.append(1)
+        return Graph(pairs)
+
+    monkeypatch.setattr(evaluate, "Graph", counting_graph)
+    run_experiment(datasets.florida_like(2), GOLDEN_LEVELS[:3], trials=4, comparisons=20)
+    assert len(calls) == 4
+
+
+def test_tally_counts_wins_ties_losses():
+    g = Graph([(0, 1), (1, 2), (2, 3)])
+    draws = (((0, 1), (0, 2)), ((1, 2), (0, 3)), (None, (1, 3)))
+    scores = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 0.5}
+    tally = estimate_auc(g, draws, Scorer("t", lambda g, u, v: scores[(u, v)]))
+    assert tally == AucTally(wins=1, ties=1, losses=1)
+    assert tally.n == 3
+    assert tally.auc == 2.0 / 3.0
+    assert tally.auc_ties_only == 0.5
+
+
+def test_random_scorer_pins_both_estimators():
+    # auc credits losses 0.5 like ties, so a random scorer gets about 0.75;
+    # auc_ties_only (Lü–Zhou) gets about 0.5.
+    partition = split_edges(datasets.usair_like(3), 0.1, 0)
+    g_train = Graph(partition.train)
+    draws = draw_comparisons(partition, g_train, 20000, seed=0)
+    tally = estimate_auc(g_train, draws, _random_factory("r").build(g_train, 7))
+    assert tally.auc == pytest.approx(0.75, abs=0.01)
+    assert tally.auc_ties_only == pytest.approx(0.5, abs=0.02)
+
+
+class TestDrawComparisons:
+    def test_deterministic_and_valid(self):
+        g = datasets.florida_like(2)
+        partition = split_edges(g, 0.1, 5)
+        g_train = Graph(partition.train)
+        draws = draw_comparisons(partition, g_train, 300, seed=9)
+        assert draws == draw_comparisons(partition, g_train, 300, seed=9)
+        assert len(draws) == 300
+        for withheld, (a, b) in draws:
+            assert withheld in partition.test
+            assert a != b and not g_train.has_edge(a, b)
+
+    def test_saturated_hub_is_skipped(self):
+        # Withholding a rim edge leaves hub 0 adjacent to every other node.
+        g = _wheel(12)
+        rim = g.edge_list.index((1, 2))
+        partition = EdgePartition(train=g.edge_list[:rim] + g.edge_list[rim + 1:],
+                                  test=((1, 2),), seed=0, test_fraction=0.05)
+        g_train = Graph(partition.train)
+        assert g_train.degree(0) == g_train.num_nodes - 1
+        draws = draw_comparisons(partition, g_train, 500, seed=3)
+        assert all(0 not in pair for _, pair in draws)
+
+    def test_complete_training_graph_raises(self):
+        partition = EdgePartition(train=((0, 1), (0, 2), (1, 2)), test=((2, 3),),
+                                  seed=0, test_fraction=0.25)
+        with pytest.raises(SaturatedNodeError):
+            draw_comparisons(partition, Graph(partition.train), 10, seed=0)
+
+    @pytest.mark.parametrize("n, test, train", [
+        (0, ((0, 2),), ((0, 1),)),
+        (10, (), ((0, 1),)),
+        (10, ((0, 1),), ()),
+    ])
+    def test_rejects_empty_inputs(self, n, test, train):
+        partition = EdgePartition(train=train, test=test, seed=0, test_fraction=0.5)
+        with pytest.raises(ValueError):
+            draw_comparisons(partition, Graph(train), n, seed=0)

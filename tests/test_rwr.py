@@ -34,6 +34,21 @@ class TestTransition:
         with pytest.raises(ValueError):
             build_transition(Graph([]))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_loop_oracle(self, seed):
+        g = random_simple_graph(10 + 9 * seed, 20 + 30 * seed, seed)
+        assert np.array_equal(build_transition(g), _loop_transition(g))
+
+
+def _loop_transition(g):
+    """Entry-by-entry oracle: P[i, j] = 1/k_i for each edge (i, j)."""
+    P = np.zeros((g.num_nodes, g.num_nodes))
+    for u in g.node_list:
+        w = 1.0 / g.degree(u)
+        for v in g.adjacency[u]:
+            P[g.dense_index[u], g.dense_index[v]] = w
+    return P
+
 
 class TestResolvent:
     def test_single_edge_half(self):
