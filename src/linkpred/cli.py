@@ -12,7 +12,13 @@ import sys
 
 import numpy as np
 
-from .graph import EdgeListParseError, Graph, SaturatedNodeError, load_edge_list
+from .graph import (
+    EdgeListParseError,
+    Graph,
+    SaturatedNodeError,
+    TooFewEdgesError,
+    load_edge_list,
+)
 from .indices import LOCAL_INDICES
 from .skipgram import EmbeddingParseError
 
@@ -248,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (EdgeListParseError, EmbeddingParseError, SaturatedNodeError, OSError) as exc:
+    except (EdgeListParseError, EmbeddingParseError, SaturatedNodeError, TooFewEdgesError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, KeyError) as exc:

@@ -137,61 +137,6 @@ def planted_partition_graph(
     return Graph(pairs)
 
 
-def block_sample_graph(
-    n_nodes: int,
-    n_blocks: int,
-    n_edges: int,
-    within_share: float,
-    seed: int,
-) -> Graph:
-    """Exact-size community graph: a fixed share of edges inside blocks.
-
-    Samples without replacement from the within-block and cross-block pair
-    pools. If a node ends up isolated, a cross-block edge between two
-    well-connected nodes is swapped for one touching it, keeping the count.
-    """
-    if not 0.0 <= within_share <= 1.0:
-        raise ValueError("within_share must be in [0, 1]")
-    rng = random.Random(seed)
-    block = [i * n_blocks // n_nodes for i in range(n_nodes)]
-    within = [
-        (u, v)
-        for u in range(n_nodes)
-        for v in range(u + 1, n_nodes)
-        if block[u] == block[v]
-    ]
-    across = [
-        (u, v)
-        for u in range(n_nodes)
-        for v in range(u + 1, n_nodes)
-        if block[u] != block[v]
-    ]
-    k_in = min(round(within_share * n_edges), len(within))
-    k_out = n_edges - k_in
-    if k_out > len(across):
-        raise ValueError("not enough cross-block pairs for the requested size")
-    pairs = rng.sample(within, k_in) + rng.sample(across, k_out)
-    degree = {i: 0 for i in range(n_nodes)}
-    for u, v in pairs:
-        degree[u] += 1
-        degree[v] += 1
-    for node in range(n_nodes):
-        while degree[node] == 0:
-            idx = rng.randrange(len(pairs))
-            a, b = pairs[idx]
-            if degree[a] < 2 or degree[b] < 2 or node in (a, b):
-                continue
-            peer = rng.choice([v for v in range(n_nodes) if v != node])
-            if (min(node, peer), max(node, peer)) in pairs:
-                continue
-            pairs[idx] = (min(node, peer), max(node, peer))
-            degree[a] -= 1
-            degree[b] -= 1
-            degree[node] += 1
-            degree[peer] += 1
-    return Graph(pairs)
-
-
 def chesapeake_like(seed: int = DEFAULT_SEED) -> Graph:
     """30 nodes, 170 edges: small dense infrastructure-style graph."""
     return preferential_attachment_graph(30, 170, seed, m=3, closure=0.3)

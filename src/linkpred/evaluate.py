@@ -23,6 +23,7 @@ from .graph import (
     EdgePartition,
     Graph,
     SaturatedNodeError,
+    TooFewEdgesError,
     sample_non_neighbor,
     split_edges,
 )
@@ -94,6 +95,7 @@ def draw_comparisons(
     is a uniform training node that has a non-neighbor plus a uniform
     non-neighbor of it (not uniform over all non-edges; it leans toward
     pairs incident to sparse neighborhoods). Raises
+    :class:`TooFewEdgesError` when the training graph has no edge and
     :class:`SaturatedNodeError` when every training node is adjacent to
     every other. Deterministic for a fixed seed.
     """
@@ -102,7 +104,7 @@ def draw_comparisons(
     if not partition.test:
         raise ValueError("empty test set")
     if g_train.num_edges == 0:
-        raise ValueError("empty training graph")
+        raise TooFewEdgesError("empty training graph")
     adjacency = g_train.adjacency
     full_degree = g_train.num_nodes - 1
     starts = [u for u in g_train.node_list if len(adjacency[u]) < full_degree]

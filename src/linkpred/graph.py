@@ -15,6 +15,10 @@ class EdgeListParseError(ValueError):
     """An edge-list file or stream could not be parsed."""
 
 
+class TooFewEdgesError(ValueError):
+    """A graph has too few edges to split, or to train and draw on."""
+
+
 class SaturatedNodeError(RuntimeError):
     """A node is adjacent to every other node, so no non-neighbor exists."""
 
@@ -127,12 +131,13 @@ def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:
     """Uniformly random edge partition, fully determined by ``seed``.
 
     The test set gets ``ceil(test_fraction * num_edges)`` edges. The graph's
-    stored edge list is never reordered; a copy is shuffled.
+    stored edge list is never reordered; a copy is shuffled. Raises
+    :class:`TooFewEdgesError` for a graph with fewer than two edges.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if g.num_edges < 2:
-        raise ValueError("need at least two edges to split")
+        raise TooFewEdgesError("need at least two edges to split")
     edges = list(g.edge_list)
     random.Random(seed).shuffle(edges)
     n_test = math.ceil(test_fraction * len(edges))

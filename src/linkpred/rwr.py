@@ -18,7 +18,6 @@ from .graph import Graph
 @dataclass(frozen=True)
 class RwrModel:
     c: float
-    transition: np.ndarray  # row-stochastic P over dense indices
     resolvent: np.ndarray  # (1 - c) (I - c P^T)^{-1}; column x is q_x
     index: dict[int, int]  # node id -> dense row/column
 
@@ -56,7 +55,7 @@ def build_rwr(g: Graph, c: float) -> RwrModel:
     n = P.shape[0]
     A = np.eye(n) - c * P.T
     M = (1.0 - c) * np.linalg.solve(A, np.eye(n))
-    return RwrModel(c=c, transition=P, resolvent=M, index=dict(g.dense_index))
+    return RwrModel(c=c, resolvent=M, index=dict(g.dense_index))
 
 
 def rwr_score(model: RwrModel, u: int, v: int) -> float:

@@ -1,4 +1,6 @@
+from linkpred import datasets
 from linkpred.cli import EXIT_DATA, EXIT_OK, main
+from linkpred.skipgram import load_embedding
 
 
 def _write(path, pairs):
@@ -24,3 +26,51 @@ def test_complete_training_graph_is_a_data_error(tmp_path, capsys):
                  "--out", str(tmp_path / "tri")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_single_edge_is_a_data_error(tmp_path, capsys):
+    edges = _write(tmp_path / "one.txt", [(0, 1)])
+    code = main(["auc", edges, "--method", "cn", "--trials", "2",
+                 "--out", str(tmp_path / "one")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: need at least two edges to split\n"
+
+
+def test_empty_training_graph_is_a_data_error(tmp_path, capsys):
+    # ceil(0.6 * 2) = 2: both edges are withheld, nothing is left to train on.
+    edges = _write(tmp_path / "two.txt", [(0, 1), (2, 3)])
+    code = main(["auc", edges, "--method", "cn", "--trials", "2",
+                 "--test-fraction", "0.6", "--out", str(tmp_path / "two")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: empty training graph\n"
+
+
+EMBED_FLAGS = ["--d", "16", "--r", "2", "--l", "10", "--k", "3", "--epochs", "2"]
+
+
+def _chesapeake(tmp_path):
+    path = tmp_path / "chesapeake.txt"
+    datasets.write_edge_list(datasets.chesapeake_like(), path)
+    return str(path)
+
+
+def test_embed_writes_a_loadable_embedding(tmp_path, capsys):
+    out = tmp_path / "emb.txt"
+    code = main(["embed", _chesapeake(tmp_path), *EMBED_FLAGS, "--out", str(out)])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    epochs = [line.split(":")[0] for line in lines if line.startswith("epoch")]
+    assert epochs == ["epoch 1", "epoch 2"]
+    model = load_embedding(out)
+    assert model.input_vectors.shape == (30, 16)
+
+
+def test_embed_auc_csv_is_deterministic(tmp_path):
+    edges = _chesapeake(tmp_path)
+    for run in ("a", "b"):
+        code = main(["auc", edges, "--method", "embed", "--trials", "2", "--seed", "4",
+                     *EMBED_FLAGS, "--out", str(tmp_path / run)])
+        assert code == EXIT_OK
+    first = (tmp_path / "a_trials.csv").read_bytes()
+    assert first.count(b"\n") == 3
+    assert first == (tmp_path / "b_trials.csv").read_bytes()

@@ -1,4 +1,5 @@
 import copy
+from collections import Counter
 import io
 import math
 
@@ -12,8 +13,6 @@ from linkpred.skipgram import (
     EmbeddingModel,
     EmbeddingParseError,
     TrainConfig,
-    _get_epoch_kernel,
-    _sgns_epoch,
     load_embedding,
     pair_stream,
     save_embedding,
@@ -118,51 +117,50 @@ class TestSgnsStep:
         assert np.allclose(model.output_vectors, twin.output_vectors, atol=1e-12)
 
 
-class TestEpochKernel:
-    def _arrays(self, rng, n_pairs=200, n_nodes=7, dim=5):
-        inp = rng.normal(scale=0.2, size=(n_nodes, dim))
-        out = rng.normal(scale=0.2, size=(n_nodes, dim))
-        centers = rng.integers(0, n_nodes, n_pairs)
-        contexts = rng.integers(0, n_nodes, n_pairs)
-        negatives = rng.integers(0, n_nodes, (n_pairs, 3))
-        lrs = np.linspace(0.05, 0.01, n_pairs)
-        return inp, out, centers, contexts, negatives, lrs
-
-    def test_python_loop_matches_reference_step(self):
-        rng = np.random.default_rng(3)
-        inp, out, centers, contexts, negatives, lrs = self._arrays(rng)
-        model = EmbeddingModel(
-            input_vectors=inp.copy(),
-            output_vectors=out.copy(),
-            vocab={i: i for i in range(inp.shape[0])},
-        )
-        step_total = sum(
-            sgns_step(model, int(centers[t]), int(contexts[t]), list(negatives[t]), lrs[t])
-            for t in range(len(centers))
-        )
-        loop_total = _sgns_epoch(inp, out, centers, contexts, negatives, lrs)
-        assert loop_total == pytest.approx(step_total, rel=1e-10)
-        assert np.allclose(inp, model.input_vectors, atol=1e-10)
-        assert np.allclose(out, model.output_vectors, atol=1e-10)
-
-    def test_jit_matches_python_loop(self):
-        rng = np.random.default_rng(4)
-        inp, out, centers, contexts, negatives, lrs = self._arrays(rng)
-        inp2, out2 = inp.copy(), out.copy()
-        total_py = _sgns_epoch(inp, out, centers, contexts, negatives, lrs)
-        kernel = _get_epoch_kernel()
-        total_jit = kernel(inp2, out2, centers, contexts, negatives, lrs)
-        assert total_jit == pytest.approx(total_py, rel=1e-10)
-        assert np.allclose(inp, inp2, atol=1e-10)
-        assert np.allclose(out, out2, atol=1e-10)
-
-
 def _corpus(graph, length=15, walks_per_node=4, seed=0):
     params = WalkParams(length=length, walks_per_node=walks_per_node)
     return generate_corpus(graph, params, seed)
 
 
+def _replay_train(corpus, config):
+    """train() spelled out as sgns_step calls: the same vocabulary order, init
+    draw, per-epoch permutation, unigram^0.75 negatives and lr decay."""
+    counts = Counter(node for walk in corpus for node in walk)
+    nodes = list(counts)
+    pairs = list(pair_stream(corpus, config.window))
+    rng = np.random.default_rng(config.seed)
+    model = EmbeddingModel(
+        input_vectors=(rng.random((len(nodes), config.dim)) - 0.5) / config.dim,
+        output_vectors=np.zeros((len(nodes), config.dim)),
+        vocab={node: row for row, node in enumerate(nodes)},
+    )
+    noise = np.array([counts[node] for node in nodes], dtype=float) ** 0.75
+    noise /= noise.sum()
+    n_steps = config.epochs * len(pairs)
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(len(pairs))
+        negatives = rng.choice(len(nodes), size=(len(pairs), config.negatives), p=noise)
+        for t, i in enumerate(order):
+            lr = config.lr_initial + (config.lr_final - config.lr_initial) * (
+                step / max(n_steps - 1, 1)
+            )
+            center, context = pairs[i]
+            sgns_step(model, center, context, [nodes[r] for r in negatives[t]], lr)
+            step += 1
+    return model
+
+
 class TestTrain:
+    def test_replays_as_sgns_steps(self, g1):
+        corpus = _corpus(g1, length=8, walks_per_node=3, seed=9)
+        config = TrainConfig(dim=6, window=2, epochs=3, negatives=3, seed=13)
+        model = train(corpus, config)
+        replay = _replay_train(corpus, config)
+        assert model.vocab == replay.vocab
+        assert np.array_equal(model.input_vectors, replay.input_vectors)
+        assert np.array_equal(model.output_vectors, replay.output_vectors)
+
     def test_shapes_and_finiteness(self, g1):
         corpus = _corpus(g1)
         model = train(corpus, TrainConfig(dim=16, window=3, epochs=2))
