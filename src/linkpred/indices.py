@@ -11,10 +11,6 @@ import math
 
 from .graph import Graph
 
-# Denominators smaller than this are treated as zero (single-edge endpoints
-# make log10(k_u * k_v) exactly 0 in the variant index).
-ZERO_DENOMINATOR_EPS = 1e-9
-
 
 def common_neighbors(g: Graph, u: int, v: int) -> float:
     return float(len(g.shared_neighbors(u, v)))
@@ -38,28 +34,25 @@ def lhn1(g: Graph, u: int, v: int) -> float:
 def adamic_adar(g: Graph, u: int, v: int) -> float:
     """Sum of 1/log10(degree) over the common neighbors.
 
-    Degree-1 common neighbors would divide by zero and are skipped, but a
-    common neighbor of two distinct nodes always has degree >= 2 in a simple
-    graph, so the guard is purely defensive.
+    A common neighbor of two distinct nodes has degree >= 2 in a simple
+    graph, so no term divides by zero.
     """
     score = 0.0
     for w in g.shared_neighbors(u, v):
-        k = g.degree(w)
-        if k == 1:
-            continue
-        score += 1.0 / math.log10(k)
+        score += 1.0 / math.log10(g.degree(w))
     return score
 
 
 def lhn1_variant(g: Graph, u: int, v: int) -> float:
     """Shared-neighbor count over log10 of the degree product.
 
-    A zero denominator (both endpoints degree 1) yields score 0.
+    Both endpoints of degree 1 make the denominator 0 and yield score 0;
+    any other degree product is >= 2, so the denominator is >= log10(2).
     """
-    denominator = math.log10(g.degree(u) * g.degree(v))
-    if abs(denominator) < ZERO_DENOMINATOR_EPS:
+    product = g.degree(u) * g.degree(v)
+    if product == 1:
         return 0.0
-    return len(g.shared_neighbors(u, v)) / denominator
+    return len(g.shared_neighbors(u, v)) / math.log10(product)
 
 
 LOCAL_INDICES = {

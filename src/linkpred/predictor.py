@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,21 +36,18 @@ def build_training_set(
     model: EmbeddingModel,
     operator: str = "hadamard",
     seed: int = 0,
-    exclude: Iterable[Edge] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced classifier data: every train edge plus as many sampled non-edges.
 
     Negatives are distinct unordered non-edges of the training graph, drawn
-    by rejection; they may coincide with withheld test edges unless those are
-    passed via ``exclude``. Deterministic for a fixed seed.
+    by rejection; they may coincide with withheld test edges, which the
+    scorer never sees. Deterministic for a fixed seed.
     """
     train_edges = list(train_edges)
     if not train_edges:
         raise ValueError("no training edges")
-    excluded = {frozenset(e) for e in exclude}
     n_nodes = g_train.num_nodes
-    blocked = sum(1 for e in excluded if not g_train.has_edge(*tuple(e)))
-    available = n_nodes * (n_nodes - 1) // 2 - g_train.num_edges - blocked
+    available = n_nodes * (n_nodes - 1) // 2 - g_train.num_edges
     wanted = len(train_edges)
     if available < wanted:
         raise ValueError(
@@ -66,7 +63,7 @@ def build_training_set(
         if u == v or g_train.has_edge(u, v):
             continue
         key = frozenset((u, v))
-        if key in seen or key in excluded:
+        if key in seen:
             continue
         seen.add(key)
         negatives.append((u, v))

@@ -10,33 +10,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graph import Graph
 
 Walk = list[int]
-
-
-@dataclass(frozen=True)
-class AliasEntry:
-    """Vose prob/alias arrays over the neighbors of one walk position.
-
-    Column i accepts with probability ``prob[i]`` and otherwise falls back
-    to column ``alias[i]``; ``nodes[i]`` is the node id behind column i.
-    """
-
-    prob: np.ndarray
-    alias: np.ndarray
-    nodes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AliasTable:
-    """One AliasEntry per directed orientation (prev, curr) of every edge."""
-
-    p: float
-    q: float
-    entries: dict[tuple[int, int], AliasEntry]
+# Each node's neighbors in ascending order; the samplers' column order.
+Neighbors = dict[int, tuple[int, ...]]
+# (prev, curr) -> (prob, alias): column i of nbrs[curr] is kept with
+# probability prob[i] and otherwise replaced by the node alias[i].
+AliasTable = dict[tuple[int, int], tuple[list[float], list[int]]]
 
 
 @dataclass(frozen=True)
@@ -68,17 +49,13 @@ class WalkParams:
             raise ValueError("restart parameter c must be in [0, 1]")
 
 
-def transition_weight(g: Graph, prev: int, curr: int, nxt: int, p: float, q: float) -> float:
-    """Unnormalized weight for stepping curr -> nxt when curr was reached from prev."""
-    if nxt == prev:
-        return 1.0 / p
-    if nxt in g.adjacency[prev]:
-        return 1.0
-    return 1.0 / q
+def sorted_neighbors(g: Graph) -> Neighbors:
+    """Every node's neighbors as an ascending tuple."""
+    return {x: tuple(sorted(nbrs)) for x, nbrs in g.adjacency.items()}
 
 
-def _vose(weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """prob/alias arrays encoding the normalized ``weights`` (Vose's method)."""
+def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
+    """prob/alias columns encoding the normalized ``weights`` (Vose's method)."""
     n = len(weights)
     total = sum(weights)
     scaled = [w * n / total for w in weights]
@@ -99,11 +76,11 @@ def _vose(weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
     for leftover in (large, small):
         while leftover:
             prob[leftover.pop()] = 1.0
-    return np.array(prob), np.array(alias, dtype=np.int64)
+    return prob, alias
 
 
 def build_alias_table(g: Graph, p: float, q: float) -> AliasTable:
-    """Precompute alias entries for both orientations of every edge.
+    """Precompute the alias columns for both orientations of every edge.
 
     For the directed orientation (t, x) the distribution over N(x) weights a
     neighbor 1/p if it is t itself, 1 if it is also a neighbor of t, and 1/q
@@ -111,69 +88,43 @@ def build_alias_table(g: Graph, p: float, q: float) -> AliasTable:
     """
     if p <= 0 or q <= 0:
         raise ValueError("p and q must be positive")
-    entries: dict[tuple[int, int], AliasEntry] = {}
-    for u, v in g.edge_list:
-        for prev, curr in ((u, v), (v, u)):
-            nbrs = sorted(g.adjacency[curr])
+    table: AliasTable = {}
+    for curr, row in sorted_neighbors(g).items():
+        for prev in row:
             prev_nbrs = g.adjacency[prev]
-            weights = []
-            for w in nbrs:
-                if w == prev:
-                    weights.append(1.0 / p)
-                elif w in prev_nbrs:
-                    weights.append(1.0)
-                else:
-                    weights.append(1.0 / q)
+            weights = [
+                1.0 / p if w == prev else 1.0 if w in prev_nbrs else 1.0 / q
+                for w in row
+            ]
             prob, alias = _vose(weights)
-            entries[(prev, curr)] = AliasEntry(prob=prob, alias=alias, nodes=tuple(nbrs))
-    return AliasTable(p=p, q=q, entries=entries)
+            table[(prev, curr)] = (prob, [row[i] for i in alias])
+    return table
 
 
-def alias_draw(entry: AliasEntry, rng: random.Random) -> int:
-    """O(1) draw: uniform column, then accept or take the column's alias."""
-    i = rng.randrange(len(entry.nodes))
-    if rng.random() < entry.prob[i]:
-        return entry.nodes[i]
-    return entry.nodes[int(entry.alias[i])]
-
-
-def alias_distribution(entry: AliasEntry) -> dict[int, float]:
-    """Sampling distribution encoded by an entry, reconstructed exactly.
-
-    Column i contributes prob[i]/n to its own node and (1 - prob[i])/n to
-    its alias node; summing recovers the normalized weights.
-    """
-    n = len(entry.nodes)
-    mass = [entry.prob[i] / n for i in range(n)]
-    for j in range(n):
-        mass[int(entry.alias[j])] += (1.0 - entry.prob[j]) / n
-    return {entry.nodes[i]: mass[i] for i in range(n)}
-
-
-def weighted_walk(g: Graph, table: AliasTable, x: int, length: int, rng: random.Random) -> Walk:
-    """Second-order walk from x: first step uniform, then alias draws."""
-    walk = [x]
-    first_nbrs = sorted(g.adjacency[x])
-    for _ in range(length):
-        if len(walk) == 1:
-            walk.append(rng.choice(first_nbrs))
-        else:
-            entry = table.entries[(walk[-2], walk[-1])]
-            walk.append(alias_draw(entry, rng))
+def weighted_walk(
+    nbrs: Neighbors, table: AliasTable, x: int, length: int, rng: random.Random
+) -> Walk:
+    """Second-order walk from x: first step uniform, then O(1) alias draws
+    (a uniform column, then keep it or take its alias)."""
+    first = nbrs[x]  # an unknown start raises KeyError even at length 0
+    walk = [x, rng.choice(first)] if length else [x]
+    for _ in range(length - 1):
+        prev, curr = walk[-2], walk[-1]
+        prob, alias = table[(prev, curr)]
+        row = nbrs[curr]
+        i = rng.randrange(len(row))
+        walk.append(row[i] if rng.random() < prob[i] else alias[i])
     return walk
 
 
-def restart_walk(g: Graph, x: int, length: int, c: float, rng: random.Random) -> Walk:
+def restart_walk(nbrs: Neighbors, x: int, length: int, c: float, rng: random.Random) -> Walk:
     """Walk from x that moves to a uniform neighbor with probability c and
     otherwise returns to x."""
-    if x not in g.adjacency:
+    if x not in nbrs:
         raise KeyError(x)
     walk = [x]
     for _ in range(length):
-        if rng.random() < c:
-            walk.append(rng.choice(sorted(g.adjacency[walk[-1]])))
-        else:
-            walk.append(x)
+        walk.append(rng.choice(nbrs[walk[-1]]) if rng.random() < c else x)
     return walk
 
 
@@ -183,6 +134,7 @@ def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
     Deterministic for a fixed seed; one RNG drives the whole corpus.
     """
     rng = random.Random(seed)
+    nbrs = sorted_neighbors(g)
     table = None
     if params.mode == "alias_weighted":
         table = build_alias_table(g, params.p, params.q)
@@ -190,7 +142,7 @@ def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
     for _ in range(params.walks_per_node):
         for x in g.node_list:
             if table is not None:
-                corpus.append(weighted_walk(g, table, x, params.length, rng))
+                corpus.append(weighted_walk(nbrs, table, x, params.length, rng))
             else:
-                corpus.append(restart_walk(g, x, params.length, params.c, rng))
+                corpus.append(restart_walk(nbrs, x, params.length, params.c, rng))
     return corpus

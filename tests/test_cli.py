@@ -1,5 +1,5 @@
 from linkpred import datasets
-from linkpred.cli import EXIT_DATA, EXIT_OK, main
+from linkpred.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from linkpred.skipgram import load_embedding
 
 
@@ -43,6 +43,23 @@ def test_empty_training_graph_is_a_data_error(tmp_path, capsys):
                  "--test-fraction", "0.6", "--out", str(tmp_path / "two")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err == "error: empty training graph\n"
+
+
+def test_test_fraction_out_of_range_is_a_usage_error(tmp_path, capsys):
+    edges = _write(tmp_path / "square.txt", [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    code = main(["auc", edges, "--method", "cn", "--test-fraction", "1.5",
+                 "--out", str(tmp_path / "square")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: test_fraction must be in (0, 1), got 1.5\n"
+
+
+def test_unknown_method_is_a_usage_error(tmp_path, capsys):
+    edges = _write(tmp_path / "square.txt", [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    code = main(["auc", edges, "--method", "nope", "--out", str(tmp_path / "square")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "linkpred auc: error: argument --method: invalid choice: 'nope'" in err
 
 
 EMBED_FLAGS = ["--d", "16", "--r", "2", "--l", "10", "--k", "3", "--epochs", "2"]

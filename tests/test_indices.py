@@ -127,7 +127,7 @@ def test_zero_shared_neighbors_means_zero_score(pairs):
 
 @given(edge_lists())
 def test_adamic_adar_guard_is_unreachable(pairs):
-    # every common neighbor has degree >= 2, so the degree-1 skip never fires
+    # every common neighbor has degree >= 2, so adamic_adar never divides by log10(1) = 0
     g = Graph(pairs)
     for u in g.node_list:
         for v in g.node_list:

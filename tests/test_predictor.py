@@ -86,25 +86,6 @@ class TestBuildTrainingSet:
         with pytest.raises(ValueError, match="dense"):
             build_training_set(g.edge_list, g, emb, seed=0)
 
-    def test_exclude_blocks_pairs(self):
-        # path 0-1-2-3: non-edges are {0,2},{0,3},{1,3}; excluding two of
-        # them forces the remaining one to be drawn
-        g = Graph([(0, 1), (1, 2), (2, 3)])
-        emb = _embedding(np.arange(8, dtype=float).reshape(4, 2))
-        X, y = build_training_set(
-            g.edge_list[:1], g, emb, seed=3, exclude=[(0, 2), (0, 3)]
-        )
-        expected = edge_features(emb, 1, 3)
-        assert np.array_equal(X[1], expected)
-
-    def test_exclude_can_exhaust_pool(self):
-        g = Graph([(0, 1), (1, 2), (2, 3)])
-        emb = _embedding(np.ones((4, 2)))
-        with pytest.raises(ValueError, match="dense"):
-            build_training_set(
-                g.edge_list, g, emb, seed=0, exclude=[(0, 2), (0, 3), (1, 3)]
-            )
-
     def test_empty_edges(self):
         g, emb = self._setup()
         with pytest.raises(ValueError):
