@@ -158,7 +158,13 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .evaluate import run_experiment, summarize, write_records_csv, write_summary_csv
+    from .evaluate import (
+        paired_difference,
+        run_experiment,
+        summarize,
+        write_records_csv,
+        write_summary_csv,
+    )
     from .pipelines import local_index_factory, rwr_factory
 
     graph = _load(args.edgelist)
@@ -197,6 +203,10 @@ def cmd_sweep(args) -> int:
     if args.trials >= 2:
         summaries = summarize(result)
         _report_summaries(summaries)
+        first, *later = result.levels()
+        for level in later:
+            mean, stderr = paired_difference(result, level, first)
+            print(f"paired level={level} vs={first} mean={mean:.4f} stderr={stderr:.4f}")
         if args.summary_out:
             write_summary_csv(summaries, args.summary_out)
     return EXIT_OK

@@ -5,7 +5,10 @@ sampled nonexistent pair, tallying wins, ties and losses of the withheld
 edge. Experiments use a paired design: every level (index kind, c value,
 dimension, ...) is evaluated on the same train/test partitions, trial by
 trial. Per trial, the training graph is built once and the n draws are made
-once; every level scores that same graph and those same draws.
+once, as an (n, 4) array of the training graph's dense node indices; every
+level scores that same graph and those same draws. A scorer with a batch
+form (``Scorer.pairs``) scores all draws in two numpy calls; any other
+scorer is called once per pair with node ids.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .graph import (
-    Edge,
     EdgePartition,
     Graph,
     SaturatedNodeError,
@@ -29,8 +33,7 @@ from .graph import (
 )
 
 ScoreFn = Callable[[Graph, int, int], float]
-# (withheld test edge, or None if it leaves the training graph; sampled non-edge)
-Draw = tuple[Optional[Edge], Edge]
+PairsFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -58,10 +61,18 @@ class AucTally:
 
 @dataclass(frozen=True)
 class Scorer:
-    """A pair-scoring function over a training graph, with an identity tag."""
+    """A pair-scoring function over a training graph, with an identity tag.
+
+    ``score(g, u, v)`` scores one pair of node ids. The optional batch form
+    ``pairs(rows, cols)`` scores pairs ``(rows[i], cols[i])`` of dense
+    indices of the training graph it was built on and returns a float
+    array; it must agree with ``score`` pair by pair. :func:`estimate_auc`
+    uses it when set, and ``score`` otherwise.
+    """
 
     tag: str
     score: ScoreFn
+    pairs: Optional[PairsFn] = None
 
 
 @dataclass(frozen=True)
@@ -87,11 +98,13 @@ def draw_comparisons(
     g_train: Graph,
     n: int = 1000,
     seed: int = 0,
-) -> tuple[Draw, ...]:
-    """n (withheld edge, sampled non-edge) pairs for :func:`estimate_auc`.
+) -> np.ndarray:
+    """n (withheld edge, sampled non-edge) draws for :func:`estimate_auc`.
 
-    The withheld edge is a uniform test edge, or None when an endpoint is
-    absent from the training graph (it then scores 0). The nonexistent pair
+    Returns an (n, 4) int array of ``g_train.dense_index`` positions with
+    columns (withheld u, withheld v, non-edge a, non-edge b). The withheld
+    edge is a uniform test edge; its columns hold -1, -1 when an endpoint
+    is absent from the training graph (it then scores 0). The nonexistent pair
     is a uniform training node that has a non-neighbor plus a uniform
     non-neighbor of it (not uniform over all non-edges; it leans toward
     pairs incident to sparse neighborhoods). Raises
@@ -105,28 +118,42 @@ def draw_comparisons(
         raise ValueError("empty test set")
     if g_train.num_edges == 0:
         raise TooFewEdgesError("empty training graph")
-    adjacency = g_train.adjacency
     full_degree = g_train.num_nodes - 1
-    starts = [u for u in g_train.node_list if len(adjacency[u]) < full_degree]
+    starts = [u for u in g_train.node_list if len(g_train.adjacency[u]) < full_degree]
     if not starts:
         raise SaturatedNodeError("every training node is adjacent to every other node")
+    index = g_train.dense_index
     rng = random.Random(seed)
-    draws: list[Draw] = []
+    draws: list[tuple[int, int, int, int]] = []
     for _ in range(n):
         u, v = rng.choice(partition.test)
-        withheld = (u, v) if u in adjacency and v in adjacency else None
+        withheld = (index[u], index[v]) if u in index and v in index else (-1, -1)
         a = rng.choice(starts)
-        draws.append((withheld, (a, sample_non_neighbor(g_train, a, rng))))
-    return tuple(draws)
+        b = sample_non_neighbor(g_train, a, rng)
+        draws.append((*withheld, index[a], index[b]))
+    return np.array(draws, dtype=np.intp)
 
 
-def estimate_auc(g_train: Graph, draws: Sequence[Draw], scorer: Scorer) -> AucTally:
-    """Score each drawn pair on ``g_train`` and tally the comparisons."""
-    score = scorer.score
+def estimate_auc(g_train: Graph, draws: np.ndarray, scorer: Scorer) -> AucTally:
+    """Score each drawn pair on ``g_train`` and tally the comparisons.
+
+    A withheld edge marked -1 scores 0. Any score that does not compare
+    (NaN) counts as a loss.
+    """
+    if scorer.pairs is not None:
+        present = draws[:, 0] >= 0
+        existing = np.zeros(len(draws))
+        existing[present] = scorer.pairs(draws[present, 0], draws[present, 1])
+        nonexistent = scorer.pairs(draws[:, 2], draws[:, 3])
+        wins = int(np.count_nonzero(existing > nonexistent))
+        ties = int(np.count_nonzero(existing == nonexistent))
+        return AucTally(wins=wins, ties=ties, losses=len(draws) - wins - ties)
+    # Per pair, with node ids: the only path for arbitrary scoring callables.
+    score, nodes = scorer.score, g_train.node_list
     wins = ties = losses = 0
-    for withheld, (a, b) in draws:
-        existing = 0.0 if withheld is None else score(g_train, *withheld)
-        nonexistent = score(g_train, a, b)
+    for u, v, a, b in draws.tolist():
+        existing = 0.0 if u < 0 else score(g_train, nodes[u], nodes[v])
+        nonexistent = score(g_train, nodes[a], nodes[b])
         if existing > nonexistent:
             wins += 1
         elif existing == nonexistent:
@@ -141,6 +168,9 @@ class TrialRecord:
     trial_seed: int
     level: str
     auc: float
+    wins: int
+    ties: int
+    losses: int
 
 
 @dataclass(frozen=True)
@@ -187,7 +217,8 @@ def run_experiment(
         for factory in levels:
             scorer = factory.build(g_train, derive_seed(part_seed, "build", factory.tag))
             tally = estimate_auc(g_train, draws, scorer)
-            records.append(TrialRecord(part_seed, factory.tag, tally.auc))
+            records.append(TrialRecord(part_seed, factory.tag, tally.auc,
+                                       tally.wins, tally.ties, tally.losses))
     return ExperimentResult(tuple(records))
 
 
@@ -247,12 +278,13 @@ def paired_difference(
 
 
 def write_records_csv(result: ExperimentResult, path: Union[str, Path]) -> None:
-    """Per-trial CSV: header trial_seed,level,auc; UTF-8 with LF endings."""
+    """Per-trial CSV: header trial_seed,level,auc,wins,ties,losses; UTF-8
+    with LF endings."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["trial_seed", "level", "auc"])
-        for record in result.records:
-            writer.writerow([record.trial_seed, record.level, repr(record.auc)])
+        writer.writerow(["trial_seed", "level", "auc", "wins", "ties", "losses"])
+        for r in result.records:
+            writer.writerow([r.trial_seed, r.level, repr(r.auc), r.wins, r.ties, r.losses])
 
 
 def write_summary_csv(

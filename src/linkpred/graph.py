@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Union
+
+import numpy as np
 
 Edge = tuple[int, int]
 
@@ -32,7 +35,7 @@ class Graph:
     work, since real edge lists often have gaps in their id ranges.
     """
 
-    __slots__ = ("adjacency", "edge_list", "node_list", "dense_index")
+    __slots__ = ("adjacency", "edge_list", "node_list", "dense_index", "_packed", "_degrees")
 
     def __init__(self, pairs: Iterable[Edge]):
         adjacency: dict[int, set[int]] = {}
@@ -54,6 +57,8 @@ class Graph:
         self.edge_list: tuple[Edge, ...] = tuple(edges)
         self.node_list: tuple[int, ...] = tuple(self.adjacency)
         self.dense_index: dict[int, int] = {u: i for i, u in enumerate(self.node_list)}
+        self._packed: np.ndarray | None = None
+        self._degrees: np.ndarray | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -78,6 +83,30 @@ class Graph:
     def shared_neighbors(self, u: int, v: int) -> frozenset[int]:
         """Common neighbors N(u) & N(v)."""
         return self.adjacency[u] & self.adjacency[v]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Degree of each node by dense index (built on first use)."""
+        if self._degrees is None:
+            self._degrees = np.fromiter(map(len, self.adjacency.values()), np.int64,
+                                        self.num_nodes)
+        return self._degrees
+
+    @property
+    def packed_adjacency(self) -> np.ndarray:
+        """Adjacency matrix over dense indices, one ``np.packbits`` row of
+        ceil(n/8) uint8 per node (built on first use): bit j of row i is set
+        when nodes i and j are adjacent."""
+        if self._packed is None:
+            ends = np.fromiter(
+                map(self.dense_index.__getitem__, chain.from_iterable(self.edge_list)),
+                np.intp, 2 * self.num_edges,
+            ).reshape(-1, 2)
+            dense = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
+            dense[ends[:, 0], ends[:, 1]] = True
+            dense[ends[:, 1], ends[:, 0]] = True
+            self._packed = np.packbits(dense, axis=1)
+        return self._packed
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -3,11 +3,19 @@
 All six scores share the signature ``(g, u, v) -> float`` and assume a
 simple undirected graph with ``u != v`` and both degrees >= 1. Logarithms
 are base 10 throughout; AUC ranking is invariant to the base.
+
+``BATCH_INDICES`` holds the same six scores in batch form,
+``(g, rows, cols) -> float array`` over arrays of dense node indices (see
+``Graph.dense_index``): pair i is ``(rows[i], cols[i])``. They intersect
+rows of ``Graph.packed_adjacency``; the per-pair functions in
+``LOCAL_INDICES`` are their reference.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .graph import Graph
 
@@ -62,4 +70,40 @@ LOCAL_INDICES = {
     "lhn1": lhn1,
     "aa": adamic_adar,
     "lhn1_var": lhn1_variant,
+}
+
+
+def _shared(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(pairs, n) uint8: entry [i, w] is 1 when w neighbors rows[i] and cols[i]."""
+    packed = g.packed_adjacency
+    return np.unpackbits(packed[rows] & packed[cols], axis=1, count=g.num_nodes)
+
+
+def _shared_count(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(_shared(g, rows, cols), axis=1).astype(float)
+
+
+def _adamic_adar_pairs(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # A degree-1 node is nobody's common neighbor; its weight is never used.
+    k = g.degrees
+    weight = np.divide(1.0, np.log10(k), out=np.zeros(len(k)), where=k > 1)
+    return np.einsum("ij,j->i", _shared(g, rows, cols), weight)
+
+
+def _lhn1_variant_pairs(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    product = g.degrees[rows] * g.degrees[cols]
+    return np.divide(_shared_count(g, rows, cols), np.log10(product),
+                     out=np.zeros(len(product)), where=product > 1)
+
+
+BATCH_INDICES = {
+    "cn": _shared_count,
+    "hub_prom": lambda g, rows, cols: _shared_count(g, rows, cols)
+    / np.minimum(g.degrees[rows], g.degrees[cols]),
+    "hub_depr": lambda g, rows, cols: _shared_count(g, rows, cols)
+    / np.maximum(g.degrees[rows], g.degrees[cols]),
+    "lhn1": lambda g, rows, cols: _shared_count(g, rows, cols)
+    / (g.degrees[rows] * g.degrees[cols]),
+    "aa": _adamic_adar_pairs,
+    "lhn1_var": _lhn1_variant_pairs,
 }

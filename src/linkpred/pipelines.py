@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from . import indices, predictor, rwr, skipgram, walks
 from .evaluate import Scorer, ScorerFactory, derive_seed
@@ -15,9 +16,10 @@ def local_index_factory(kind: str) -> ScorerFactory:
             f"unknown index {kind!r}; choose from {sorted(indices.LOCAL_INDICES)}"
         )
     score = indices.LOCAL_INDICES[kind]
+    batch = indices.BATCH_INDICES[kind]
 
     def build(g_train, seed):
-        return Scorer(kind, score)
+        return Scorer(kind, score, partial(batch, g_train))
 
     return ScorerFactory(kind, build)
 
@@ -28,11 +30,12 @@ def rwr_factory(c: float, tag: str | None = None) -> ScorerFactory:
 
     def build(g_train, seed):
         model = rwr.build_rwr(g_train, c)
+        M = model.resolvent
 
         def score(g, u, v):
             return rwr.rwr_score(model, u, v)
 
-        return Scorer(tag, score)
+        return Scorer(tag, score, lambda i, j: M[i, j] + M[j, i])
 
     return ScorerFactory(tag, build)
 

@@ -26,21 +26,12 @@ def build_transition(g: Graph) -> np.ndarray:
     """Row-stochastic transition matrix: P[i, j] = 1/k_i for each edge (i, j)."""
     if g.num_nodes == 0:
         raise ValueError("cannot build a transition matrix for an empty graph")
-    n = g.num_nodes
-    degrees = np.array([len(g.adjacency[u]) for u in g.node_list])
+    degrees = g.degrees
     if not degrees.all():
         u = g.node_list[int(np.argmin(degrees))]
         raise ValueError(f"degree-zero node {u}: transition row undefined")
-    index = g.dense_index
-    rows = np.repeat(np.arange(n), degrees)
-    cols = np.fromiter(
-        (index[v] for u in g.node_list for v in g.adjacency[u]),
-        dtype=np.intp,
-        count=len(rows),
-    )
-    P = np.zeros((n, n))
-    P[rows, cols] = 1.0 / degrees[rows]
-    return P
+    adjacency = np.unpackbits(g.packed_adjacency, axis=1, count=g.num_nodes)
+    return adjacency / degrees[:, None]
 
 
 def build_rwr(g: Graph, c: float) -> RwrModel:

@@ -91,3 +91,18 @@ def test_embed_auc_csv_is_deterministic(tmp_path):
     first = (tmp_path / "a_trials.csv").read_bytes()
     assert first.count(b"\n") == 3
     assert first == (tmp_path / "b_trials.csv").read_bytes()
+
+
+def test_sweep_prints_paired_differences(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "index", "--values", "cn,aa",
+                 "--trials", "3", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = out.read_text().splitlines()
+    assert rows[0] == "trial_seed,level,auc,wins,ties,losses"
+    assert len(rows) == 1 + 6
+    paired = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith("paired ")]
+    assert len(paired) == 1
+    assert paired[0].startswith("paired level=aa vs=cn mean=")
+    assert " stderr=" in paired[0]

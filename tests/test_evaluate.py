@@ -1,15 +1,20 @@
 import random
 
+import numpy as np
 import pytest
 
 from linkpred import datasets, evaluate
 from linkpred.evaluate import (
     AucTally,
+    ExperimentResult,
     Scorer,
     ScorerFactory,
+    TrialRecord,
     draw_comparisons,
     estimate_auc,
+    paired_difference,
     run_experiment,
+    write_records_csv,
 )
 from linkpred.graph import EdgePartition, Graph, SaturatedNodeError, split_edges
 from linkpred.indices import LOCAL_INDICES
@@ -95,14 +100,81 @@ def test_training_graph_built_once_per_trial(monkeypatch):
 
 
 def test_tally_counts_wins_ties_losses():
-    g = Graph([(0, 1), (1, 2), (2, 3)])
-    draws = (((0, 1), (0, 2)), ((1, 2), (0, 3)), (None, (1, 3)))
+    g = Graph([(0, 1), (1, 2), (2, 3)])  # dense index i is node i
+    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [-1, -1, 1, 3]])
     scores = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 0.5}
     tally = estimate_auc(g, draws, Scorer("t", lambda g, u, v: scores[(u, v)]))
     assert tally == AucTally(wins=1, ties=1, losses=1)
     assert tally.n == 3
     assert tally.auc == 2.0 / 3.0
     assert tally.auc_ties_only == 0.5
+
+
+def test_batch_form_replaces_per_pair_calls():
+    g = Graph([(0, 1), (1, 2), (2, 3)])  # dense index i is node i
+    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [-1, -1, 1, 3], [0, 1, 1, 3]])
+    scores = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): float("nan")}
+
+    def pairs(rows, cols):
+        return np.array([scores[(i, j)] for i, j in zip(rows.tolist(), cols.tolist())])
+
+    def per_pair(g, u, v):
+        raise AssertionError("per-pair score called although a batch form is set")
+
+    # win, tie, 0 vs NaN and 2 vs NaN: a NaN score never wins or ties
+    tally = estimate_auc(g, draws, Scorer("t", per_pair, pairs))
+    assert tally == AucTally(wins=1, ties=1, losses=2)
+
+
+def test_builtin_scorers_have_a_batch_form():
+    g = datasets.chesapeake_like()
+    for factory in GOLDEN_LEVELS:
+        assert factory.build(g, 0).pairs is not None, factory.tag
+
+
+def test_records_carry_the_tally(tmp_path):
+    result = run_experiment(datasets.chesapeake_like(), GOLDEN_LEVELS[:2], trials=2,
+                            comparisons=200)
+    path = tmp_path / "trials.csv"
+    write_records_csv(result, path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    assert header == "trial_seed,level,auc,wins,ties,losses"
+    assert len(rows) == len(result.records) == 4
+    for record, row in zip(result.records, rows):
+        assert record.wins + record.ties + record.losses == 200
+        assert record.auc == AucTally(record.wins, record.ties, record.losses).auc
+        assert row == (f"{record.trial_seed},{record.level},{record.auc!r},"
+                       f"{record.wins},{record.ties},{record.losses}")
+
+
+def _record(seed, level, auc):
+    return TrialRecord(seed, level, auc, wins=0, ties=0, losses=0)
+
+
+class TestPairedDifference:
+    def test_mean_and_stderr(self):
+        # a - b per trial: 0.1, 0.3, 0.2 -> mean 0.2, std 0.1, stderr 0.1 / sqrt(3)
+        aucs = {0: (0.8, 0.7), 1: (0.9, 0.6), 2: (0.7, 0.5)}
+        result = ExperimentResult(tuple(
+            _record(seed, level, auc)
+            for seed, pair in aucs.items() for level, auc in zip("ab", pair)
+        ))
+        mean, stderr = paired_difference(result, "a", "b")
+        assert mean == pytest.approx(0.2, abs=1e-12)
+        assert stderr == pytest.approx(0.1 / 3 ** 0.5, abs=1e-12)
+
+    def test_unpaired_levels_raise(self):
+        result = ExperimentResult((_record(0, "a", 0.8), _record(1, "a", 0.7),
+                                   _record(0, "b", 0.6), _record(2, "b", 0.5)))
+        with pytest.raises(ValueError, match="not paired"):
+            paired_difference(result, "a", "b")
+        with pytest.raises(ValueError, match="not paired"):
+            paired_difference(result, "a", "missing")
+
+    def test_one_trial_raises(self):
+        result = ExperimentResult((_record(0, "a", 0.8), _record(0, "b", 0.6)))
+        with pytest.raises(ValueError, match="at least two"):
+            paired_difference(result, "a", "b")
 
 
 def test_random_scorer_pins_both_estimators():
@@ -122,11 +194,12 @@ class TestDrawComparisons:
         partition = split_edges(g, 0.1, 5)
         g_train = Graph(partition.train)
         draws = draw_comparisons(partition, g_train, 300, seed=9)
-        assert draws == draw_comparisons(partition, g_train, 300, seed=9)
+        assert np.array_equal(draws, draw_comparisons(partition, g_train, 300, seed=9))
         assert len(draws) == 300
-        for withheld, (a, b) in draws:
-            assert withheld in partition.test
-            assert a != b and not g_train.has_edge(a, b)
+        nodes = g_train.node_list
+        for u, v, a, b in draws.tolist():
+            assert (nodes[u], nodes[v]) in partition.test
+            assert a != b and not g_train.has_edge(nodes[a], nodes[b])
 
     def test_saturated_hub_is_skipped(self):
         # Withholding a rim edge leaves hub 0 adjacent to every other node.
@@ -137,7 +210,7 @@ class TestDrawComparisons:
         g_train = Graph(partition.train)
         assert g_train.degree(0) == g_train.num_nodes - 1
         draws = draw_comparisons(partition, g_train, 500, seed=3)
-        assert all(0 not in pair for _, pair in draws)
+        assert g_train.dense_index[0] not in draws[:, 2:]
 
     def test_complete_training_graph_raises(self):
         partition = EdgePartition(train=((0, 1), (0, 2), (1, 2)), test=((2, 3),),

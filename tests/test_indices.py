@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import edge_lists
 from linkpred.graph import Graph
 from linkpred.indices import (
+    BATCH_INDICES,
     LOCAL_INDICES,
     adamic_adar,
     common_neighbors,
@@ -134,3 +136,20 @@ def test_adamic_adar_guard_is_unreachable(pairs):
             if u == v:
                 continue
             assert all(g.degree(w) >= 2 for w in g.shared_neighbors(u, v))
+
+
+@given(edge_lists())
+def test_batch_forms_match_per_pair(pairs):
+    g = Graph(pairs)
+    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
+    rows = np.array([g.dense_index[u] for u, _ in ordered])
+    cols = np.array([g.dense_index[v] for _, v in ordered])
+    assert BATCH_INDICES.keys() == LOCAL_INDICES.keys()
+    for name, batch in BATCH_INDICES.items():
+        with np.errstate(all="raise"):
+            got = batch(g, rows, cols)
+        expected = [LOCAL_INDICES[name](g, u, v) for u, v in ordered]
+        if name in ("aa", "lhn1_var"):  # numpy log10 and summation order
+            assert got.tolist() == pytest.approx(expected, rel=1e-12, abs=0), name
+        else:
+            assert got.tolist() == expected, name

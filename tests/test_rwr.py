@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_simple_graph
-from linkpred.datasets import random_connected_graph
+from linkpred.datasets import chesapeake_like, random_connected_graph
 from linkpred.graph import Graph
+from linkpred.pipelines import rwr_factory
 from linkpred.rwr import build_rwr, build_transition, rwr_score
 
 
@@ -124,3 +125,13 @@ def test_neumann_series_oracle(c):
             term = c * Pt @ term
             series += term
         assert np.abs(model.resolvent - (1 - c) * series).max() < 1e-6
+
+
+def test_batch_form_matches_rwr_score():
+    g = chesapeake_like()
+    pairs = rwr_factory(0.5).build(g, 0).pairs
+    model = build_rwr(g, 0.5)
+    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
+    rows = np.array([g.dense_index[u] for u, _ in ordered])
+    cols = np.array([g.dense_index[v] for _, v in ordered])
+    assert pairs(rows, cols).tolist() == [rwr_score(model, u, v) for u, v in ordered]
