@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
+from .evaluate import (
+    paired_difference,
+    run_experiment,
+    summarize,
+    write_records_csv,
+    write_summary_csv,
+)
 from .graph import (
     EdgeListParseError,
     Graph,
@@ -20,7 +28,9 @@ from .graph import (
     load_edge_list,
 )
 from .indices import LOCAL_INDICES
-from .skipgram import EmbeddingParseError
+from .pipelines import embedding_factory, local_index_factory, rwr_factory
+from .skipgram import EmbeddingParseError, TrainConfig, save_embedding, train
+from .walks import WalkParams, generate_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,39 +80,31 @@ def _add_embedding_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--clf-epochs", type=int, default=500)
 
 
-def _walk_params(args):
-    from .walks import WalkParams
-
+def _walk_params(args) -> WalkParams:
     mode = "alias_weighted" if args.mode == "alias" else "restart"
     return WalkParams(length=args.l, walks_per_node=args.r, p=args.p, q=args.q,
                       c=args.c, mode=mode)
 
 
-def _train_config(args, seed: int = 0):
-    from .skipgram import TrainConfig
-
+def _train_config(args, seed: int = 0) -> TrainConfig:
     return TrainConfig(dim=args.d, window=args.k, epochs=args.epochs,
                        negatives=args.negatives, seed=seed)
 
 
-def _embedding_factory(args, tag=None):
-    from .pipelines import embedding_factory
-
+def _embedding_factory(args, walk_params: WalkParams, train_config: TrainConfig, tag: str):
     return embedding_factory(
-        _walk_params(args), _train_config(args), operator=args.operator,
+        walk_params, train_config, operator=args.operator,
         reg_lambda=args.reg_lambda, classifier_lr=args.clf_lr,
         classifier_epochs=args.clf_epochs, tag=tag,
     )
 
 
 def _method_factory(args):
-    from .pipelines import local_index_factory, rwr_factory
-
     if args.method in LOCAL_INDICES:
         return local_index_factory(args.method)
     if args.method == "rwr":
         return rwr_factory(args.c)
-    return _embedding_factory(args, tag="embed")
+    return _embedding_factory(args, _walk_params(args), _train_config(args), "embed")
 
 
 def _report_summaries(summaries) -> None:
@@ -124,8 +126,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_auc(args) -> int:
-    from .evaluate import run_experiment, summarize, write_records_csv, write_summary_csv
-
     graph = _load(args.edgelist)
     factory = _method_factory(args)
     result = run_experiment(
@@ -144,9 +144,6 @@ def cmd_auc(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    from .skipgram import save_embedding, train
-    from .walks import generate_corpus
-
     graph = _load(args.edgelist)
     corpus = generate_corpus(graph, _walk_params(args), args.seed)
     model = train(corpus, _train_config(args, seed=args.seed))
@@ -158,15 +155,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .evaluate import (
-        paired_difference,
-        run_experiment,
-        summarize,
-        write_records_csv,
-        write_summary_csv,
-    )
-    from .pipelines import local_index_factory, rwr_factory
-
     graph = _load(args.edgelist)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -177,19 +165,15 @@ def cmd_sweep(args) -> int:
         factories = [local_index_factory(v) for v in values]
     elif args.param == "c" and args.method == "rwr":
         factories = [rwr_factory(float(v)) for v in values]
-    elif args.param == "c" and args.method == "embed":
-        args.mode = "restart"
-        factories = []
-        for v in values:
-            args.c = float(v)
-            factories.append(_embedding_factory(args, tag=f"embed_c={float(v):g}"))
-    elif args.param == "d" and args.method == "embed":
-        base_d = args.d
-        factories = []
-        for v in values:
-            args.d = int(v)
-            factories.append(_embedding_factory(args, tag=f"embed_d={int(v)}"))
-        args.d = base_d
+    elif args.param in ("c", "d") and args.method == "embed":
+        walk_params, train_config = _walk_params(args), _train_config(args)
+        if args.param == "c":
+            levels = [(replace(walk_params, mode="restart", c=float(v)), train_config,
+                       f"embed_c={float(v):g}") for v in values]
+        else:
+            levels = [(walk_params, replace(train_config, dim=int(v)), f"embed_d={int(v)}")
+                      for v in values]
+        factories = [_embedding_factory(args, *level) for level in levels]
     else:
         print(f"error: unsupported sweep: param={args.param} method={args.method}",
               file=sys.stderr)

@@ -67,7 +67,9 @@ class Scorer:
     ``pairs(rows, cols)`` scores pairs ``(rows[i], cols[i])`` of dense
     indices of the training graph it was built on and returns a float
     array; it must agree with ``score`` pair by pair. :func:`estimate_auc`
-    uses it when set, and ``score`` otherwise.
+    uses it when set, and ``score`` otherwise. Every built-in factory sets
+    it; the RWR and embedding scorers define ``score`` as ``pairs`` applied
+    to one pair.
     """
 
     tag: str
@@ -200,12 +202,17 @@ def run_experiment(
     Trial t uses partition seed base_seed + t. The trial's training graph is
     built once and its comparisons are drawn once; every level is built on
     that graph and scores those same draws, so per-trial differences are
-    within-partition. Deterministic end to end.
+    within-partition. Level tags must be distinct: records are grouped by
+    tag. Deterministic end to end.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if not levels:
         raise ValueError("no levels to evaluate")
+    tags = [factory.tag for factory in levels]
+    for tag in tags:
+        if tags.count(tag) > 1:
+            raise ValueError(f"level tag {tag!r} is repeated; records would merge")
     records: list[TrialRecord] = []
     for t in range(trials):
         part_seed = base_seed + t

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -16,11 +15,11 @@ OPERATORS = ("hadamard", "average", "abs_diff")
 
 
 def edge_features(
-    model: EmbeddingModel, u: int, v: int, operator: str = "hadamard"
+    vectors: np.ndarray, rows: np.ndarray, cols: np.ndarray, operator: str = "hadamard"
 ) -> np.ndarray:
-    """Combine two node vectors into one symmetric edge feature vector."""
-    a = model.vector(u)
-    b = model.vector(v)
+    """Symmetric feature vector of each pair (vectors[rows[i]], vectors[cols[i]])."""
+    a = vectors[rows]
+    b = vectors[cols]
     if operator == "hadamard":
         return a * b
     if operator == "average":
@@ -67,9 +66,10 @@ def build_training_set(
             continue
         seen.add(key)
         negatives.append((u, v))
-    features = np.vstack(
-        [edge_features(model, u, v, operator) for u, v in train_edges + negatives]
-    )
+    rows, cols = np.array(
+        [(model.vocab[u], model.vocab[v]) for u, v in train_edges + negatives]
+    ).T
+    features = edge_features(model.input_vectors, rows, cols, operator)
     labels = np.concatenate([np.ones(wanted), np.zeros(wanted)])
     return features, labels
 
@@ -134,13 +134,12 @@ def train_logistic(
     return LogisticModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
 
 
-def predict_score(model: LogisticModel, feature: np.ndarray) -> float:
-    """Edge probability sigmoid(w . feature + bias), in [0, 1]."""
-    feature = np.asarray(feature, dtype=float)
-    if feature.shape != model.weights.shape:
+def predict(model: LogisticModel, features: np.ndarray) -> np.ndarray:
+    """Edge probability sigmoid(w . x + bias) of each feature row x, in [0, 1]."""
+    if features.shape[1:] != model.weights.shape:
         raise ValueError(
-            f"feature dimension {feature.shape} does not match model {model.weights.shape}"
+            f"feature rows {features.shape[1:]} do not match model {model.weights.shape}"
         )
-    z = float(model.weights @ feature + model.bias)
-    z = min(36.0, max(-36.0, z))
-    return 1.0 / (1.0 + math.exp(-z))
+    # A row sum, not features @ weights: BLAS rounds a row by its position in
+    # the batch, so one pair could score differently alone and in a batch.
+    return _sigmoid((features * model.weights).sum(axis=1) + model.bias)

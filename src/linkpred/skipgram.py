@@ -67,9 +67,6 @@ class EmbeddingModel:
     def dim(self) -> int:
         return int(self.input_vectors.shape[1])
 
-    def vector(self, node: int) -> np.ndarray:
-        return self.input_vectors[self.vocab[node]]
-
 
 def pair_stream(corpus: Iterable[Walk], window: int) -> Iterator[tuple[int, int]]:
     """(center, context) pairs within ``window`` positions, clipped at walk ends."""

@@ -106,3 +106,13 @@ def test_sweep_prints_paired_differences(tmp_path, capsys):
     assert len(paired) == 1
     assert paired[0].startswith("paired level=aa vs=cn mean=")
     assert " stderr=" in paired[0]
+
+
+def test_sweep_rejects_repeated_levels(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "c", "--values",
+                 "0.9999991,0.9999992", "--trials", "3", "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: level tag 'rwr_c=0.999999' is repeated; records would merge\n")
+    assert not out.exists()

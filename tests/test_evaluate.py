@@ -18,7 +18,10 @@ from linkpred.evaluate import (
 )
 from linkpred.graph import EdgePartition, Graph, SaturatedNodeError, split_edges
 from linkpred.indices import LOCAL_INDICES
-from linkpred.pipelines import local_index_factory, rwr_factory
+from linkpred.pipelines import embedding_factory, local_index_factory, rwr_factory
+from linkpred.predictor import OPERATORS
+from linkpred.skipgram import TrainConfig
+from linkpred.walks import WalkParams
 
 # Per-trial AUCs of run_experiment(g(1), GOLDEN_LEVELS, trials=3) as a
 # harness that rebuilt the training graph and redrew the comparisons per
@@ -50,6 +53,19 @@ GOLDEN = {
 GOLDEN_LEVELS = [local_index_factory(k) for k in LOCAL_INDICES] + [
     rwr_factory(c) for c in (0.1, 0.5, 0.9)
 ]
+# Per-trial (wins, ties, losses) of run_experiment(chesapeake_like(),
+# EMBED_LEVELS, trials=3) as embedding scorers that built each pair's feature
+# vector and probability one pair at a time gave them; the batch form must
+# reproduce every tally.
+GOLDEN_EMBED = {
+    "hadamard": ((577, 2, 421), (734, 2, 264), (631, 7, 362)),
+    "average": ((637, 2, 361), (698, 2, 300), (636, 7, 357)),
+    "abs_diff": ((587, 2, 411), (444, 2, 554), (518, 7, 475)),
+}
+EMBED_LEVELS = [
+    embedding_factory(WalkParams(10, 2), TrainConfig(dim=16, window=3, epochs=2), op, tag=op)
+    for op in OPERATORS
+]
 
 
 def _wheel(n):
@@ -69,6 +85,20 @@ def _random_factory(tag):
 def test_golden_per_trial_aucs(name):
     result = run_experiment(getattr(datasets, name)(1), GOLDEN_LEVELS, trials=3)
     assert {level: result.aucs(level) for level in result.levels()} == GOLDEN[name]
+
+
+def test_golden_embedding_tallies():
+    result = run_experiment(datasets.chesapeake_like(), EMBED_LEVELS, trials=3)
+    tallies = {}
+    for r in result.records:
+        tallies.setdefault(r.level, []).append((r.wins, r.ties, r.losses))
+    assert {level: tuple(t) for level, t in tallies.items()} == GOLDEN_EMBED
+
+
+def test_repeated_level_tags_raise():
+    levels = [local_index_factory("cn"), local_index_factory("aa"), local_index_factory("cn")]
+    with pytest.raises(ValueError, match="'cn' is repeated"):
+        run_experiment(datasets.chesapeake_like(), levels, trials=2)
 
 
 def test_levels_see_identical_pairs():
@@ -128,8 +158,18 @@ def test_batch_form_replaces_per_pair_calls():
 
 def test_builtin_scorers_have_a_batch_form():
     g = datasets.chesapeake_like()
-    for factory in GOLDEN_LEVELS:
+    for factory in GOLDEN_LEVELS + EMBED_LEVELS:
         assert factory.build(g, 0).pairs is not None, factory.tag
+
+
+def test_score_is_the_batch_form_on_one_pair():
+    g = datasets.chesapeake_like()
+    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
+    rows = np.array([g.dense_index[u] for u, _ in ordered])
+    cols = np.array([g.dense_index[v] for _, v in ordered])
+    for factory in [rwr_factory(0.5)] + EMBED_LEVELS:
+        scorer = factory.build(g, 0)
+        assert scorer.pairs(rows, cols).tolist() == [scorer.score(g, u, v) for u, v in ordered]
 
 
 def test_records_carry_the_tally(tmp_path):

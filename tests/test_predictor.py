@@ -7,7 +7,7 @@ from linkpred.predictor import (
     build_training_set,
     edge_features,
     logistic_loss_and_grad,
-    predict_score,
+    predict,
     train_logistic,
 )
 from linkpred.skipgram import EmbeddingModel
@@ -24,37 +24,37 @@ def _embedding(vectors):
 
 class TestEdgeFeatures:
     def test_hadamard(self):
-        emb = _embedding([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(edge_features(emb, 0, 1), [3.0, 8.0])
+        vectors = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(edge_features(vectors, np.array([0]), np.array([1])), [[3.0, 8.0]])
 
     def test_hadamard_zero_vector(self):
-        emb = _embedding([[0.0, 0.0], [3.0, 4.0]])
-        assert np.array_equal(edge_features(emb, 0, 1), [0.0, 0.0])
+        vectors = np.array([[0.0, 0.0], [3.0, 4.0]])
+        assert np.array_equal(edge_features(vectors, np.array([0]), np.array([1])), [[0.0, 0.0]])
 
     def test_average_and_abs_diff(self):
-        emb = _embedding([[1.0, 2.0], [3.0, 6.0]])
-        assert np.array_equal(edge_features(emb, 0, 1, "average"), [2.0, 4.0])
-        assert np.array_equal(edge_features(emb, 0, 1, "abs_diff"), [2.0, 4.0])
+        vectors = np.array([[1.0, 2.0], [3.0, 6.0]])
+        rows, cols = np.array([0, 1]), np.array([1, 0])
+        assert np.array_equal(edge_features(vectors, rows, cols, "average"),
+                              [[2.0, 4.0], [2.0, 4.0]])
+        assert np.array_equal(edge_features(vectors, rows, cols, "abs_diff"),
+                              [[2.0, 4.0], [2.0, 4.0]])
 
     def test_symmetry_all_operators(self):
         rng = np.random.default_rng(0)
         vectors = rng.normal(size=(2000, 6))
-        emb = _embedding(vectors)
+        rows = np.arange(0, 2000, 2)
         for op in ("hadamard", "average", "abs_diff"):
-            for i in range(0, 2000, 2):
-                a = edge_features(emb, i, i + 1, op)
-                b = edge_features(emb, i + 1, i, op)
-                assert np.array_equal(a, b)
+            a = edge_features(vectors, rows, rows + 1, op)
+            b = edge_features(vectors, rows + 1, rows, op)
+            assert np.array_equal(a, b)
 
     def test_unknown_operator(self):
-        emb = _embedding([[1.0], [2.0]])
         with pytest.raises(ValueError):
-            edge_features(emb, 0, 1, "concat")
+            edge_features(np.array([[1.0], [2.0]]), np.array([0]), np.array([1]), "concat")
 
     def test_unembedded_node(self):
-        emb = _embedding([[1.0], [2.0]])
-        with pytest.raises(KeyError):
-            edge_features(emb, 0, 9)
+        with pytest.raises(IndexError):
+            edge_features(np.array([[1.0], [2.0]]), np.array([0]), np.array([9]))
 
 
 class TestBuildTrainingSet:
@@ -97,15 +97,15 @@ class TestTrainLogistic:
         X = np.array([[-1.0]] * 50 + [[1.0]] * 50)
         y = np.array([0.0] * 50 + [1.0] * 50)
         model = train_logistic(X, y, reg_lambda=0.0)
-        preds = [predict_score(model, row) > 0.5 for row in X]
-        assert np.mean(np.array(preds) == (y == 1)) == 1.0
+        preds = predict(model, X) > 0.5
+        assert np.mean(preds == (y == 1)) == 1.0
 
     def test_zero_features_balanced_labels(self):
         X = np.zeros((40, 3))
         y = np.array([0.0, 1.0] * 20)
         model = train_logistic(X, y)
         assert np.array_equal(model.weights, np.zeros(3))
-        assert predict_score(model, np.zeros(3)) == pytest.approx(0.5, abs=1e-9)
+        assert predict(model, np.zeros((1, 3)))[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(5)
@@ -166,25 +166,25 @@ class TestTrainLogistic:
 class TestPredictScore:
     def test_zero_model(self):
         model = LogisticModel(weights=np.zeros(3), bias=0.0, reg_lambda=0.0)
-        assert predict_score(model, np.array([5.0, -2.0, 1.0])) == 0.5
+        assert predict(model, np.array([[5.0, -2.0, 1.0]]))[0] == 0.5
 
     def test_sigmoid_of_ten(self):
         model = LogisticModel(weights=np.array([10.0]), bias=0.0, reg_lambda=0.0)
-        assert predict_score(model, np.array([1.0])) == pytest.approx(
+        assert predict(model, np.array([[1.0]]))[0] == pytest.approx(
             0.9999546021312976, rel=1e-12
         )
 
     def test_monotone_in_logit(self):
         model = LogisticModel(weights=np.array([2.0]), bias=0.3, reg_lambda=0.0)
-        scores = [predict_score(model, np.array([x])) for x in np.linspace(-3, 3, 25)]
-        assert all(b > a for a, b in zip(scores, scores[1:]))
+        scores = predict(model, np.linspace(-3, 3, 25)[:, None])
+        assert np.all(np.diff(scores) > 0)
 
     def test_extreme_logits_stay_in_unit_interval(self):
         model = LogisticModel(weights=np.array([1000.0]), bias=0.0, reg_lambda=0.0)
-        assert 0.0 <= predict_score(model, np.array([-1000.0])) <= 1.0
-        assert 0.0 <= predict_score(model, np.array([1000.0])) <= 1.0
+        scores = predict(model, np.array([[-1000.0], [1000.0]]))
+        assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     def test_dimension_mismatch(self):
         model = LogisticModel(weights=np.zeros(3), bias=0.0, reg_lambda=0.0)
         with pytest.raises(ValueError):
-            predict_score(model, np.zeros(4))
+            predict(model, np.zeros((1, 4)))

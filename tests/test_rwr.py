@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import random_simple_graph
-from linkpred.datasets import chesapeake_like, random_connected_graph
+from linkpred.datasets import random_connected_graph
 from linkpred.graph import Graph
 from linkpred.pipelines import rwr_factory
-from linkpred.rwr import build_rwr, build_transition, rwr_score
+from linkpred.rwr import build_rwr, build_transition
 
 
 class TestTransition:
@@ -53,18 +53,18 @@ def _loop_transition(g):
 
 class TestResolvent:
     def test_single_edge_half(self):
-        model = build_rwr(Graph([(0, 1)]), 0.5)
+        M = build_rwr(Graph([(0, 1)]), 0.5)
         expected = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
-        assert np.allclose(model.resolvent, expected, atol=1e-12)
+        assert np.allclose(M, expected, atol=1e-12)
 
     def test_single_edge_high_c(self):
-        model = build_rwr(Graph([(0, 1)]), 0.9)
+        M = build_rwr(Graph([(0, 1)]), 0.9)
         expected = np.array([[10 / 19, 9 / 19], [9 / 19, 10 / 19]])
-        assert np.allclose(model.resolvent, expected, atol=1e-12)
+        assert np.allclose(M, expected, atol=1e-12)
 
     def test_c_zero_gives_identity(self, g1):
-        model = build_rwr(g1, 0.0)
-        assert np.allclose(model.resolvent, np.eye(g1.num_nodes), atol=1e-12)
+        M = build_rwr(g1, 0.0)
+        assert np.allclose(M, np.eye(g1.num_nodes), atol=1e-12)
 
     @pytest.mark.parametrize("c", [-0.1, 1.0, 1.5])
     def test_c_out_of_range(self, g1, c):
@@ -72,29 +72,31 @@ class TestResolvent:
             build_rwr(g1, c)
 
 
+def _rwr_score(g, c):
+    return rwr_factory(c).build(g, 0).score
+
+
 class TestScore:
     def test_single_edge_half(self):
-        model = build_rwr(Graph([(0, 1)]), 0.5)
-        assert rwr_score(model, 0, 1) == pytest.approx(2 / 3, rel=1e-12)
+        g = Graph([(0, 1)])
+        assert _rwr_score(g, 0.5)(g, 0, 1) == pytest.approx(2 / 3, rel=1e-12)
 
     def test_single_edge_high_c(self):
-        model = build_rwr(Graph([(0, 1)]), 0.9)
-        assert rwr_score(model, 0, 1) == pytest.approx(18 / 19, rel=1e-12)
+        g = Graph([(0, 1)])
+        assert _rwr_score(g, 0.9)(g, 0, 1) == pytest.approx(18 / 19, rel=1e-12)
 
     def test_c_zero_off_diagonal(self, g1):
-        model = build_rwr(g1, 0.0)
-        assert rwr_score(model, 0, 4) == 0.0
+        assert _rwr_score(g1, 0.0)(g1, 0, 4) == 0.0
 
     def test_symmetric_exactly(self, g1):
-        model = build_rwr(g1, 0.7)
+        score = _rwr_score(g1, 0.7)
         for u in g1.node_list:
             for v in g1.node_list:
-                assert rwr_score(model, u, v) == rwr_score(model, v, u)
+                assert score(g1, u, v) == score(g1, v, u)
 
     def test_unknown_node(self, g1):
-        model = build_rwr(g1, 0.5)
         with pytest.raises(KeyError):
-            rwr_score(model, 0, 99)
+            _rwr_score(g1, 0.5)(g1, 0, 99)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
@@ -102,7 +104,7 @@ def test_stationary_invariants_random_graphs(c):
     for seed in range(6):
         n = 8 + 7 * seed
         g = random_connected_graph(n, 2 * n, seed)
-        M, P = build_rwr(g, c).resolvent, build_transition(g)
+        M, P = build_rwr(g, c), build_transition(g)
         n = g.num_nodes
         assert np.all(M.sum(axis=0) > 1 - 1e-9)
         assert np.all(M.sum(axis=0) < 1 + 1e-9)
@@ -116,7 +118,7 @@ def test_neumann_series_oracle(c):
     # M should match (1-c) * sum_k c^k (P^T)^k truncated at K=200
     for seed in range(4):
         g = random_simple_graph(6 + 3 * seed, 10 + 4 * seed, seed)
-        model = build_rwr(g, c)
+        M = build_rwr(g, c)
         Pt = build_transition(g).T
         n = g.num_nodes
         term = np.eye(n)
@@ -124,14 +126,5 @@ def test_neumann_series_oracle(c):
         for _ in range(200):
             term = c * Pt @ term
             series += term
-        assert np.abs(model.resolvent - (1 - c) * series).max() < 1e-6
+        assert np.abs(M - (1 - c) * series).max() < 1e-6
 
-
-def test_batch_form_matches_rwr_score():
-    g = chesapeake_like()
-    pairs = rwr_factory(0.5).build(g, 0).pairs
-    model = build_rwr(g, 0.5)
-    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
-    rows = np.array([g.dense_index[u] for u, _ in ordered])
-    cols = np.array([g.dense_index[v] for _, v in ordered])
-    assert pairs(rows, cols).tolist() == [rwr_score(model, u, v) for u, v in ordered]

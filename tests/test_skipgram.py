@@ -205,7 +205,7 @@ class TestTrain:
         g = Graph(pairs)
         corpus = _corpus(g, length=20, walks_per_node=5, seed=4)
         model = train(corpus, TrainConfig())
-        vectors = np.array([model.vector(node) for node in range(30)])
+        vectors = model.input_vectors[[model.vocab[node] for node in range(30)]]
         unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
         cosine = unit @ unit.T
         block = np.array([0] * 15 + [1] * 15)
