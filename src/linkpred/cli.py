@@ -29,7 +29,8 @@ from .graph import (
 )
 from .indices import LOCAL_INDICES
 from .pipelines import embedding_factory, local_index_factory, rwr_factory
-from .skipgram import EmbeddingParseError, TrainConfig, save_embedding, train
+from .predictor import OPERATORS
+from .skipgram import TrainConfig, save_embedding, train
 from .walks import WalkParams, generate_corpus
 
 EXIT_OK = 0
@@ -72,8 +73,11 @@ def _add_embedding_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, default=10, help="context window radius")
     parser.add_argument("--epochs", type=int, default=10, help="skip-gram epochs")
     parser.add_argument("--negatives", type=int, default=5)
-    parser.add_argument("--operator", choices=("hadamard", "average", "abs_diff"),
-                        default="hadamard")
+
+
+def _add_classifier_options(parser: argparse.ArgumentParser) -> None:
+    """Edge-classifier settings, read only where embeddings are scored."""
+    parser.add_argument("--operator", choices=OPERATORS, default="hadamard")
     parser.add_argument("--lambda", dest="reg_lambda", type=float, default=1e-4,
                         help="L2 penalty for the logistic classifier")
     parser.add_argument("--clf-lr", type=float, default=0.1)
@@ -107,12 +111,6 @@ def _method_factory(args):
     return _embedding_factory(args, _walk_params(args), _train_config(args), "embed")
 
 
-def _report_summaries(summaries) -> None:
-    for s in summaries.values():
-        print(f"level={s.level} mean={s.mean:.4f} std={s.std:.4f} "
-              f"ci95=[{s.ci_low:.4f}, {s.ci_high:.4f}]")
-
-
 def cmd_stats(args) -> int:
     graph = _load(args.edgelist)
     print(f"nodes: {graph.num_nodes}")
@@ -125,22 +123,33 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_auc(args) -> int:
-    graph = _load(args.edgelist)
-    factory = _method_factory(args)
-    result = run_experiment(
-        graph, [factory], trials=args.trials, test_fraction=args.test_fraction,
-        comparisons=args.n, base_seed=args.seed,
-    )
-    write_records_csv(result, f"{args.out}_trials.csv")
-    if args.trials >= 2:
-        summaries = summarize(result)
-        write_summary_csv(summaries, f"{args.out}_summary.csv")
-        _report_summaries(summaries)
-    else:
-        for record in result.records:
-            print(f"trial_seed={record.trial_seed} level={record.level} auc={record.auc}")
+def _run_and_report(args, graph: Graph, factories, trials_path: str,
+                    summary_path: str | None) -> int:
+    """Run the paired experiment and write its CSVs. Print each record for one
+    trial, else each level's summary and its paired difference from the first."""
+    result = run_experiment(graph, factories, trials=args.trials, comparisons=args.n,
+                            test_fraction=args.test_fraction, base_seed=args.seed)
+    write_records_csv(result, trials_path)
+    if args.trials < 2:
+        for r in result.records:
+            print(f"trial_seed={r.trial_seed} level={r.level} auc={r.auc}")
+        return EXIT_OK
+    summaries = summarize(result)
+    if summary_path:
+        write_summary_csv(summaries, summary_path)
+    for s in summaries.values():
+        print(f"level={s.level} mean={s.mean:.4f} std={s.std:.4f} "
+              f"ci95=[{s.ci_low:.4f}, {s.ci_high:.4f}]")
+    first, *later = result.levels()
+    for level in later:
+        mean, stderr = paired_difference(result, level, first)
+        print(f"paired level={level} vs={first} mean={mean:.4f} stderr={stderr:.4f}")
     return EXIT_OK
+
+
+def cmd_auc(args) -> int:
+    return _run_and_report(args, _load(args.edgelist), [_method_factory(args)],
+                           f"{args.out}_trials.csv", f"{args.out}_summary.csv")
 
 
 def cmd_embed(args) -> int:
@@ -179,21 +188,7 @@ def cmd_sweep(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    result = run_experiment(
-        graph, factories, trials=args.trials, test_fraction=args.test_fraction,
-        comparisons=args.n, base_seed=args.seed,
-    )
-    write_records_csv(result, args.out)
-    if args.trials >= 2:
-        summaries = summarize(result)
-        _report_summaries(summaries)
-        first, *later = result.levels()
-        for level in later:
-            mean, stderr = paired_difference(result, level, first)
-            print(f"paired level={level} vs={first} mean={mean:.4f} stderr={stderr:.4f}")
-        if args.summary_out:
-            write_summary_csv(summaries, args.summary_out)
-    return EXIT_OK
+    return _run_and_report(args, graph, factories, args.out, args.summary_out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,6 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="neighbor-move probability (rwr / restart walks)")
     _add_split_options(p_auc)
     _add_embedding_options(p_auc)
+    _add_classifier_options(p_auc)
     p_auc.add_argument("--out", required=True,
                        help="prefix for <out>_trials.csv and <out>_summary.csv")
     p_auc.set_defaults(func=cmd_auc)
@@ -233,6 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c", type=float, default=0.9)
     _add_split_options(p_sweep)
     _add_embedding_options(p_sweep)
+    _add_classifier_options(p_sweep)
     p_sweep.add_argument("--out", required=True, help="per-trial CSV path")
     p_sweep.add_argument("--summary-out", default=None)
     p_sweep.set_defaults(func=cmd_sweep)
@@ -248,8 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (EdgeListParseError, EmbeddingParseError, SaturatedNodeError, TooFewEdgesError,
-            OSError) as exc:
+    except (EdgeListParseError, SaturatedNodeError, TooFewEdgesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, KeyError) as exc:

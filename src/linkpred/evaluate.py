@@ -17,7 +17,7 @@ import csv
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -239,6 +239,14 @@ class LevelSummary:
     ci_high: float
 
 
+def _mean_std_stderr(values: list[float]) -> tuple[float, float, float]:
+    """Mean, unbiased standard deviation and standard error of two or more values."""
+    m = len(values)
+    mean = sum(values) / m
+    std = math.sqrt(sum((x - mean) ** 2 for x in values) / (m - 1))
+    return mean, std, std / math.sqrt(m)
+
+
 def summarize(result: ExperimentResult) -> dict[str, LevelSummary]:
     """Per-level mean, unbiased std, standard error, and normal 95% CI."""
     by_level: dict[str, list[float]] = {}
@@ -246,20 +254,11 @@ def summarize(result: ExperimentResult) -> dict[str, LevelSummary]:
         by_level.setdefault(record.level, []).append(record.auc)
     summaries: dict[str, LevelSummary] = {}
     for level, values in by_level.items():
-        m = len(values)
-        if m < 2:
-            raise ValueError(f"level {level!r} has {m} trial(s); need at least 2")
-        mean = sum(values) / m
-        std = math.sqrt(sum((x - mean) ** 2 for x in values) / (m - 1))
-        stderr = std / math.sqrt(m)
-        summaries[level] = LevelSummary(
-            level=level,
-            mean=mean,
-            std=std,
-            stderr=stderr,
-            ci_low=mean - 1.96 * stderr,
-            ci_high=mean + 1.96 * stderr,
-        )
+        if len(values) < 2:
+            raise ValueError(f"level {level!r} has {len(values)} trial(s); need at least 2")
+        mean, std, stderr = _mean_std_stderr(values)
+        summaries[level] = LevelSummary(level, mean, std, stderr,
+                                        mean - 1.96 * stderr, mean + 1.96 * stderr)
     return summaries
 
 
@@ -276,12 +275,10 @@ def paired_difference(
     if not a or a.keys() != b.keys():
         raise ValueError(f"levels {level_a!r} and {level_b!r} are not paired")
     diffs = [a[s] - b[s] for s in a]
-    m = len(diffs)
-    if m < 2:
+    if len(diffs) < 2:
         raise ValueError("need at least two paired trials")
-    mean = sum(diffs) / m
-    std = math.sqrt(sum((d - mean) ** 2 for d in diffs) / (m - 1))
-    return mean, std / math.sqrt(m)
+    mean, _, stderr = _mean_std_stderr(diffs)
+    return mean, stderr
 
 
 def write_records_csv(result: ExperimentResult, path: Union[str, Path]) -> None:
@@ -302,13 +299,5 @@ def write_summary_csv(
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["level", "mean", "std", "stderr", "ci_low", "ci_high"])
         for summary in summaries.values():
-            writer.writerow(
-                [
-                    summary.level,
-                    repr(summary.mean),
-                    repr(summary.std),
-                    repr(summary.stderr),
-                    repr(summary.ci_low),
-                    repr(summary.ci_high),
-                ]
-            )
+            level, *values = astuple(summary)
+            writer.writerow([level, *map(repr, values)])

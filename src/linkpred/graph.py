@@ -68,9 +68,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edge_list)
 
-    def __contains__(self, node: int) -> bool:
-        return node in self.adjacency
-
     def neighbors(self, u: int) -> frozenset[int]:
         return self.adjacency[u]
 
@@ -152,8 +149,6 @@ class EdgePartition:
 
     train: tuple[Edge, ...]
     test: tuple[Edge, ...]
-    seed: int
-    test_fraction: float
 
 
 def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:
@@ -170,12 +165,7 @@ def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:
     edges = list(g.edge_list)
     random.Random(seed).shuffle(edges)
     n_test = math.ceil(test_fraction * len(edges))
-    return EdgePartition(
-        train=tuple(edges[n_test:]),
-        test=tuple(edges[:n_test]),
-        seed=seed,
-        test_fraction=test_fraction,
-    )
+    return EdgePartition(train=tuple(edges[n_test:]), test=tuple(edges[:n_test]))
 
 
 def sample_non_neighbor(g: Graph, u: int, rng: random.Random) -> int:

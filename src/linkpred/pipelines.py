@@ -76,7 +76,7 @@ def embedding_factory(
         config = replace(train_config, seed=derive_seed(seed, "sgns"))
         embedding = skipgram.train(corpus, config)
         features, labels = predictor.build_training_set(
-            g_train.edge_list, g_train, embedding, operator,
+            g_train, embedding, operator,
             seed=derive_seed(seed, "negatives"),
         )
         classifier = predictor.train_logistic(

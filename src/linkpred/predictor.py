@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,24 +29,23 @@ def edge_features(
 
 
 def build_training_set(
-    train_edges: Sequence[Edge],
     g_train: Graph,
     model: EmbeddingModel,
     operator: str = "hadamard",
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced classifier data: every train edge plus as many sampled non-edges.
+    """Balanced classifier data: every edge of ``g_train`` plus as many sampled
+    non-edges.
 
     Negatives are distinct unordered non-edges of the training graph, drawn
     by rejection; they may coincide with withheld test edges, which the
     scorer never sees. Deterministic for a fixed seed.
     """
-    train_edges = list(train_edges)
-    if not train_edges:
+    wanted = g_train.num_edges
+    if not wanted:
         raise ValueError("no training edges")
     n_nodes = g_train.num_nodes
-    available = n_nodes * (n_nodes - 1) // 2 - g_train.num_edges
-    wanted = len(train_edges)
+    available = n_nodes * (n_nodes - 1) // 2 - wanted
     if available < wanted:
         raise ValueError(
             f"graph too dense: {available} distinct non-edges available, need {wanted}"
@@ -67,7 +65,7 @@ def build_training_set(
         seen.add(key)
         negatives.append((u, v))
     rows, cols = np.array(
-        [(model.vocab[u], model.vocab[v]) for u, v in train_edges + negatives]
+        [(model.vocab[u], model.vocab[v]) for u, v in (*g_train.edge_list, *negatives)]
     ).T
     features = edge_features(model.input_vectors, rows, cols, operator)
     labels = np.concatenate([np.ones(wanted), np.zeros(wanted)])
@@ -78,7 +76,6 @@ def build_training_set(
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    reg_lambda: float
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -131,7 +128,7 @@ def train_logistic(
         )
         weights -= lr * grad_w
         bias -= lr * grad_b
-    return LogisticModel(weights=weights, bias=bias, reg_lambda=reg_lambda)
+    return LogisticModel(weights=weights, bias=bias)
 
 
 def predict(model: LogisticModel, features: np.ndarray) -> np.ndarray:

@@ -22,10 +22,6 @@ from .walks import Walk
 SCORE_CLAMP = 30.0
 
 
-class EmbeddingParseError(ValueError):
-    """An embedding file could not be parsed."""
-
-
 @dataclass
 class TrainConfig:
     dim: int = 128
@@ -54,12 +50,11 @@ class EmbeddingModel:
     """Node vectors plus trainer state.
 
     ``input_vectors`` holds the embeddings; ``output_vectors`` is the context
-    table (None for models read back from disk). ``vocab`` maps node id to
-    table row.
+    table. ``vocab`` maps node id to table row.
     """
 
     input_vectors: np.ndarray
-    output_vectors: np.ndarray | None
+    output_vectors: np.ndarray
     vocab: dict[int, int]
     epoch_losses: tuple[float, ...] = field(default=())
 
@@ -184,8 +179,8 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
 def save_embedding(model: EmbeddingModel, sink: Union[str, Path, IO[str]]) -> None:
     """Write "<count> <dim>" then one "<node> <v1> ... <vd>" line per node.
 
-    Values are rendered with shortest-round-trip precision, so a save/load
-    cycle reproduces the vectors exactly.
+    Values are rendered with shortest-round-trip precision, so parsing them
+    as floats reproduces the vectors exactly.
     """
     if isinstance(sink, (str, Path)):
         with open(sink, "w", encoding="utf-8", newline="\n") as handle:
@@ -196,49 +191,3 @@ def save_embedding(model: EmbeddingModel, sink: Union[str, Path, IO[str]]) -> No
         rendered = " ".join(repr(float(x)) for x in model.input_vectors[row])
         sink.write(f"{node} {rendered}\n")
 
-
-def load_embedding(source: Union[str, Path, IO[str]]) -> EmbeddingModel:
-    """Read the text format back; the result carries input vectors only."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_embedding(handle)
-
-    lines = source.readlines()
-    if not lines or not lines[0].split():
-        raise EmbeddingParseError("line 1: missing '<count> <dim>' header")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise EmbeddingParseError("line 1: header must be '<count> <dim>'")
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise EmbeddingParseError("line 1: non-integer header field") from None
-
-    vocab: dict[int, int] = {}
-    vectors: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != dim + 1:
-            raise EmbeddingParseError(
-                f"line {lineno}: expected {dim + 1} fields, got {len(tokens)}"
-            )
-        try:
-            node = int(tokens[0])
-            values = [float(tok) for tok in tokens[1:]]
-        except ValueError:
-            raise EmbeddingParseError(f"line {lineno}: malformed number") from None
-        if node in vocab:
-            raise EmbeddingParseError(f"line {lineno}: duplicate node {node}")
-        vocab[node] = len(vectors)
-        vectors.append(values)
-    if len(vectors) != count:
-        raise EmbeddingParseError(
-            f"header announced {count} rows but file has {len(vectors)}"
-        )
-    return EmbeddingModel(
-        input_vectors=np.array(vectors, dtype=float),
-        output_vectors=None,
-        vocab=vocab,
-    )

@@ -7,6 +7,7 @@ visits ``l + 1`` nodes (start plus l steps).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -43,10 +44,17 @@ class WalkParams:
             raise ValueError("walk length must be >= 1")
         if self.walks_per_node < 1:
             raise ValueError("walks_per_node must be >= 1")
-        if self.p <= 0 or self.q <= 0:
-            raise ValueError("p and q must be positive")
+        _check_p_q(self.p, self.q)
         if not 0.0 <= self.c <= 1.0:
             raise ValueError("restart parameter c must be in [0, 1]")
+
+
+def _check_p_q(p: float, q: float) -> None:
+    """p, q and the walk weights 1/p, 1/q must be positive and finite."""
+    for name, x in (("p", p), ("q", q)):
+        if not (0.0 < x < math.inf and 1.0 / x < math.inf):
+            raise ValueError(
+                f"{name} must be positive and finite with a finite reciprocal, got {x!r}")
 
 
 def sorted_neighbors(g: Graph) -> Neighbors:
@@ -58,6 +66,8 @@ def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
     """prob/alias columns encoding the normalized ``weights`` (Vose's method)."""
     n = len(weights)
     total = sum(weights)
+    if not total * n < math.inf:  # every w * n below must stay finite
+        raise ValueError("p or q is so small that the walk weights overflow")
     scaled = [w * n / total for w in weights]
     prob = [0.0] * n
     alias = list(range(n))
@@ -86,8 +96,7 @@ def build_alias_table(g: Graph, p: float, q: float) -> AliasTable:
     neighbor 1/p if it is t itself, 1 if it is also a neighbor of t, and 1/q
     otherwise, normalized.
     """
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
+    _check_p_q(p, q)
     table: AliasTable = {}
     for curr, row in sorted_neighbors(g).items():
         for prev in row:

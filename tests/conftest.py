@@ -60,3 +60,30 @@ def random_simple_graph(n_nodes, n_edges, seed):
         seen.add(key)
         pairs.append((u, v))
     return Graph(pairs)
+
+
+def random_connected_graph(n_nodes: int, n_edges: int, seed: int) -> Graph:
+    """Uniform random-tree skeleton plus uniform extra edges; always connected."""
+    if n_nodes < 2:
+        raise ValueError("need at least two nodes")
+    if not n_nodes - 1 <= n_edges <= n_nodes * (n_nodes - 1) // 2:
+        raise ValueError(f"cannot place {n_edges} edges on {n_nodes} nodes")
+    rng = random.Random(seed)
+    order = list(range(n_nodes))
+    rng.shuffle(order)
+    adjacency: dict[int, set[int]] = {i: set() for i in range(n_nodes)}
+    pairs: list[tuple[int, int]] = []
+
+    def add(u: int, v: int) -> None:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+        pairs.append((u, v))
+
+    for i in range(1, n_nodes):
+        add(order[rng.randrange(i)], order[i])
+    while len(pairs) < n_edges:
+        u = rng.randrange(n_nodes)
+        v = rng.randrange(n_nodes)
+        if u != v and v not in adjacency[u]:
+            add(u, v)
+    return Graph(pairs)

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import linkpred
 from linkpred import datasets
 from linkpred.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from linkpred.skipgram import load_embedding
 
 
 def _write(path, pairs):
@@ -78,8 +85,30 @@ def test_embed_writes_a_loadable_embedding(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     epochs = [line.split(":")[0] for line in lines if line.startswith("epoch")]
     assert epochs == ["epoch 1", "epoch 2"]
-    model = load_embedding(out)
-    assert model.input_vectors.shape == (30, 16)
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == "30 16"
+    assert len(rows) == 30
+    assert all(len(row.split()) == 17 for row in rows)
+
+
+@pytest.mark.parametrize("flag", [["--operator", "average"], ["--lambda", "5"],
+                                  ["--clf-lr", "9"], ["--clf-epochs", "3"]])
+def test_embed_rejects_classifier_flags(tmp_path, capsys, flag):
+    out = tmp_path / "emb.txt"
+    code = main(["embed", _chesapeake(tmp_path), *EMBED_FLAGS, *flag, "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith(f"linkpred: error: unrecognized arguments: {' '.join(flag)}\n")
+    assert not out.exists()
+
+
+def test_infinite_p_q_is_a_usage_error(tmp_path, capsys):
+    code = main(["auc", _chesapeake(tmp_path), "--method", "embed", "--p", "inf",
+                 "--q", "inf", "--d", "8", "--r", "1", "--l", "10", "--k", "2",
+                 "--epochs", "1", "--trials", "2", "--out", str(tmp_path / "a")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: p must be positive and finite with a finite reciprocal, got inf\n")
 
 
 def test_embed_auc_csv_is_deterministic(tmp_path):
@@ -108,6 +137,18 @@ def test_sweep_prints_paired_differences(tmp_path, capsys):
     assert " stderr=" in paired[0]
 
 
+def test_sweep_single_trial_prints_each_record(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "index", "--values", "cn,aa",
+                 "--trials", "1", "--seed", "7", "--out", str(out)])
+    assert code == EXIT_OK
+    rows = out.read_text().splitlines()[1:]
+    expected = [f"trial_seed=7 level={level} auc={auc}"
+                for _, level, auc, *_ in (row.split(",") for row in rows)]
+    assert capsys.readouterr().out.splitlines() == expected
+    assert [line.split()[1] for line in expected] == ["level=cn", "level=aa"]
+
+
 def test_sweep_rejects_repeated_levels(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", _chesapeake(tmp_path), "--param", "c", "--values",
@@ -116,3 +157,34 @@ def test_sweep_rejects_repeated_levels(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: level tag 'rwr_c=0.999999' is repeated; records would merge\n")
     assert not out.exists()
+
+
+def _stats(path):
+    # The child imports the same linkpred package as this test process.
+    src = str(Path(linkpred.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "linkpred", "stats", str(path)],
+                          capture_output=True, text=True, env=env)
+
+
+def test_stats_module_entry_point(tmp_path):
+    run = _stats(_chesapeake(tmp_path))
+    assert run.returncode == EXIT_OK
+    assert run.stdout == "nodes: 30\nedges: 170\naverage degree: 11 (exact 11.333333333333334)\n"
+
+
+def test_stats_empty_graph(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("", encoding="utf-8")
+    run = _stats(path)
+    assert run.returncode == EXIT_OK
+    assert run.stdout == "nodes: 0\nedges: 0\naverage degree: n/a\n"
+
+
+def test_stats_parse_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1\n1 x\n", encoding="utf-8")
+    run = _stats(path)
+    assert run.returncode == EXIT_DATA
+    assert run.stderr == "error: line 2: non-integer node id in '1 x'\n"

@@ -246,15 +246,14 @@ class TestDrawComparisons:
         g = _wheel(12)
         rim = g.edge_list.index((1, 2))
         partition = EdgePartition(train=g.edge_list[:rim] + g.edge_list[rim + 1:],
-                                  test=((1, 2),), seed=0, test_fraction=0.05)
+                                  test=((1, 2),))
         g_train = Graph(partition.train)
         assert g_train.degree(0) == g_train.num_nodes - 1
         draws = draw_comparisons(partition, g_train, 500, seed=3)
         assert g_train.dense_index[0] not in draws[:, 2:]
 
     def test_complete_training_graph_raises(self):
-        partition = EdgePartition(train=((0, 1), (0, 2), (1, 2)), test=((2, 3),),
-                                  seed=0, test_fraction=0.25)
+        partition = EdgePartition(train=((0, 1), (0, 2), (1, 2)), test=((2, 3),))
         with pytest.raises(SaturatedNodeError):
             draw_comparisons(partition, Graph(partition.train), 10, seed=0)
 
@@ -264,6 +263,6 @@ class TestDrawComparisons:
         (10, ((0, 1),), ()),
     ])
     def test_rejects_empty_inputs(self, n, test, train):
-        partition = EdgePartition(train=train, test=test, seed=0, test_fraction=0.5)
+        partition = EdgePartition(train=train, test=test)
         with pytest.raises(ValueError):
             draw_comparisons(partition, Graph(train), n, seed=0)

@@ -17,7 +17,7 @@ def _embedding(vectors):
     vectors = np.asarray(vectors, dtype=float)
     return EmbeddingModel(
         input_vectors=vectors,
-        output_vectors=None,
+        output_vectors=np.zeros_like(vectors),
         vocab={i: i for i in range(vectors.shape[0])},
     )
 
@@ -66,30 +66,34 @@ class TestBuildTrainingSet:
 
     def test_balanced_counts(self):
         g, emb = self._setup()
-        X, y = build_training_set(g.edge_list, g, emb, seed=1)
+        X, y = build_training_set(g, emb, seed=1)
         assert X.shape == (10, 4)
         assert y.sum() == 5
         assert len(y) == 10
 
     def test_negatives_are_distinct_non_edges(self):
-        g, emb = self._setup()
-        rng_runs = set()
-        X, y = build_training_set(g.edge_list, g, emb, seed=2)
-        # rebuild the negative pairs by re-running with the same seed
-        X2, y2 = build_training_set(g.edge_list, g, emb, seed=2)
-        assert np.array_equal(X, X2) and np.array_equal(y, y2)
+        # A 5-cycle has exactly 5 non-edges, so its 5 negatives must be all of
+        # them. With one-hot vectors each "average" row is (e_u + e_v) / 2,
+        # so the pair can be read back from the row's two nonzero entries.
+        g = Graph([(i, (i + 1) % 5) for i in range(5)])
+        X, y = build_training_set(g, _embedding(np.eye(5)), operator="average", seed=2)
+        negatives = [frozenset(np.flatnonzero(row)) for row in X[y == 0]]
+        non_edges = {frozenset((u, v)) for u in range(5) for v in range(u + 2, 5)
+                     if (u, v) != (0, 4)}
+        assert len(negatives) == 5
+        assert set(negatives) == non_edges
 
     def test_complete_graph_errors(self):
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         g = Graph(pairs)
         emb = _embedding(np.ones((4, 3)))
         with pytest.raises(ValueError, match="dense"):
-            build_training_set(g.edge_list, g, emb, seed=0)
+            build_training_set(g, emb, seed=0)
 
     def test_empty_edges(self):
         g, emb = self._setup()
         with pytest.raises(ValueError):
-            build_training_set([], g, emb)
+            build_training_set(Graph([]), emb)
 
 
 class TestTrainLogistic:
@@ -165,26 +169,26 @@ class TestTrainLogistic:
 
 class TestPredictScore:
     def test_zero_model(self):
-        model = LogisticModel(weights=np.zeros(3), bias=0.0, reg_lambda=0.0)
+        model = LogisticModel(weights=np.zeros(3), bias=0.0)
         assert predict(model, np.array([[5.0, -2.0, 1.0]]))[0] == 0.5
 
     def test_sigmoid_of_ten(self):
-        model = LogisticModel(weights=np.array([10.0]), bias=0.0, reg_lambda=0.0)
+        model = LogisticModel(weights=np.array([10.0]), bias=0.0)
         assert predict(model, np.array([[1.0]]))[0] == pytest.approx(
             0.9999546021312976, rel=1e-12
         )
 
     def test_monotone_in_logit(self):
-        model = LogisticModel(weights=np.array([2.0]), bias=0.3, reg_lambda=0.0)
+        model = LogisticModel(weights=np.array([2.0]), bias=0.3)
         scores = predict(model, np.linspace(-3, 3, 25)[:, None])
         assert np.all(np.diff(scores) > 0)
 
     def test_extreme_logits_stay_in_unit_interval(self):
-        model = LogisticModel(weights=np.array([1000.0]), bias=0.0, reg_lambda=0.0)
+        model = LogisticModel(weights=np.array([1000.0]), bias=0.0)
         scores = predict(model, np.array([[-1000.0], [1000.0]]))
         assert np.all((0.0 <= scores) & (scores <= 1.0))
 
     def test_dimension_mismatch(self):
-        model = LogisticModel(weights=np.zeros(3), bias=0.0, reg_lambda=0.0)
+        model = LogisticModel(weights=np.zeros(3), bias=0.0)
         with pytest.raises(ValueError):
             predict(model, np.zeros((1, 4)))

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_simple_graph
-from linkpred.datasets import random_connected_graph
+from conftest import random_connected_graph, random_simple_graph
 from linkpred.graph import Graph
 from linkpred.pipelines import rwr_factory
 from linkpred.rwr import build_rwr, build_transition

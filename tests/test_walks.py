@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 
@@ -92,7 +93,9 @@ class TestAliasTable:
             assert (u, v) in table
             assert (v, u) in table
 
-    @pytest.mark.parametrize("p,q", [(0.0, 1.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("p,q", [(0.0, 1.0), (1.0, -2.0), (math.inf, math.inf),
+                                     (math.nan, 1.0), (1.0, math.nan), (1e-310, 1.0),
+                                     (1.0, 1e-310), (1e-308, 2e-308)])
     def test_invalid_p_q(self, g1, p, q):
         with pytest.raises(ValueError):
             build_alias_table(g1, p, q)
@@ -299,6 +302,11 @@ class TestWalkParams:
             dict(length=1, walks_per_node=1, q=-1.0),
             dict(length=1, walks_per_node=1, c=1.0001),
             dict(length=1, walks_per_node=1, mode="teleport"),
+            dict(length=1, walks_per_node=1, p=math.inf),
+            dict(length=1, walks_per_node=1, q=math.inf),
+            dict(length=1, walks_per_node=1, p=math.nan),
+            dict(length=1, walks_per_node=1, p=1e-310),
+            dict(length=1, walks_per_node=1, q=1e-310),
         ],
     )
     def test_validation(self, kwargs):
