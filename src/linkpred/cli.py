@@ -1,8 +1,8 @@
 """Command-line front end: stats, auc, embed, and sweep subcommands.
 
-Exit codes: 0 success, 1 usage or validation error, 2 data or parse error,
-3 numeric failure. All subcommands are end-to-end deterministic for a fixed
---seed.
+Exit codes: 0 success, 1 usage or validation error, 2 data or parse error
+(including a graph with too few edges or non-edges). All subcommands are
+end-to-end deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .evaluate import (
     paired_difference,
@@ -36,7 +34,6 @@ from .walks import WalkParams, generate_corpus
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-EXIT_NUMERIC = 3
 
 METHODS = tuple(LOCAL_INDICES) + ("rwr", "embed")
 
@@ -79,9 +76,9 @@ def _add_classifier_options(parser: argparse.ArgumentParser) -> None:
     """Edge-classifier settings, read only where embeddings are scored."""
     parser.add_argument("--operator", choices=OPERATORS, default="hadamard")
     parser.add_argument("--lambda", dest="reg_lambda", type=float, default=1e-4,
-                        help="L2 penalty for the logistic classifier")
-    parser.add_argument("--clf-lr", type=float, default=0.1)
-    parser.add_argument("--clf-epochs", type=int, default=500)
+                        help="L2 penalty for the logistic classifier (finite, >= 0)")
+    parser.add_argument("--clf-lr", type=float, default=0.1, help="finite, > 0")
+    parser.add_argument("--clf-epochs", type=int, default=500, help=">= 1")
 
 
 def _walk_params(args) -> WalkParams:
@@ -154,6 +151,8 @@ def cmd_auc(args) -> int:
 
 def cmd_embed(args) -> int:
     graph = _load(args.edgelist)
+    if graph.num_edges == 0:
+        raise TooFewEdgesError("no edges to embed")
     corpus = generate_corpus(graph, _walk_params(args), args.seed)
     model = train(corpus, _train_config(args, seed=args.seed))
     for epoch, loss in enumerate(model.epoch_losses, start=1):
@@ -164,6 +163,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.summary_out and args.trials < 2:
+        print("error: --summary-out needs --trials >= 2", file=sys.stderr)
+        return EXIT_USAGE
     graph = _load(args.edgelist)
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
@@ -231,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_options(p_sweep)
     _add_classifier_options(p_sweep)
     p_sweep.add_argument("--out", required=True, help="per-trial CSV path")
-    p_sweep.add_argument("--summary-out", default=None)
+    p_sweep.add_argument("--summary-out", default=None,
+                         help="summary CSV path; needs --trials >= 2")
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
@@ -251,9 +254,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

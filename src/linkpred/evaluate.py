@@ -6,9 +6,8 @@ edge. Experiments use a paired design: every level (index kind, c value,
 dimension, ...) is evaluated on the same train/test partitions, trial by
 trial. Per trial, the training graph is built once and the n draws are made
 once, as an (n, 4) array of the training graph's dense node indices; every
-level scores that same graph and those same draws. A scorer with a batch
-form (``Scorer.pairs``) scores all draws in two numpy calls; any other
-scorer is called once per pair with node ids.
+level scores that same graph and those same draws as two score arrays; a
+scorer without a batch form (``Scorer.pairs``) is called once per pair.
 """
 
 from __future__ import annotations
@@ -67,9 +66,9 @@ class Scorer:
     ``pairs(rows, cols)`` scores pairs ``(rows[i], cols[i])`` of dense
     indices of the training graph it was built on and returns a float
     array; it must agree with ``score`` pair by pair. :func:`estimate_auc`
-    uses it when set, and ``score`` otherwise. Every built-in factory sets
-    it; the RWR and embedding scorers define ``score`` as ``pairs`` applied
-    to one pair.
+    uses it when set; otherwise it calls ``score`` on each withheld pair,
+    then on each non-edge. Every built-in factory sets it; the RWR and
+    embedding scorers define ``score`` as ``pairs`` applied to one pair.
     """
 
     tag: str
@@ -136,43 +135,42 @@ def draw_comparisons(
     return np.array(draws, dtype=np.intp)
 
 
+def _per_pair_batch(g_train: Graph, score: ScoreFn) -> PairsFn:
+    """Batch form of a per-pair scorer: ``score`` called on each pair's node ids."""
+    nodes = g_train.node_list
+
+    def pairs(rows, cols):
+        return np.array([score(g_train, nodes[u], nodes[v])
+                         for u, v in zip(rows.tolist(), cols.tolist())], dtype=float)
+
+    return pairs
+
+
 def estimate_auc(g_train: Graph, draws: np.ndarray, scorer: Scorer) -> AucTally:
     """Score each drawn pair on ``g_train`` and tally the comparisons.
 
     A withheld edge marked -1 scores 0. Any score that does not compare
     (NaN) counts as a loss.
     """
-    if scorer.pairs is not None:
-        present = draws[:, 0] >= 0
-        existing = np.zeros(len(draws))
-        existing[present] = scorer.pairs(draws[present, 0], draws[present, 1])
-        nonexistent = scorer.pairs(draws[:, 2], draws[:, 3])
-        wins = int(np.count_nonzero(existing > nonexistent))
-        ties = int(np.count_nonzero(existing == nonexistent))
-        return AucTally(wins=wins, ties=ties, losses=len(draws) - wins - ties)
-    # Per pair, with node ids: the only path for arbitrary scoring callables.
-    score, nodes = scorer.score, g_train.node_list
-    wins = ties = losses = 0
-    for u, v, a, b in draws.tolist():
-        existing = 0.0 if u < 0 else score(g_train, nodes[u], nodes[v])
-        nonexistent = score(g_train, nodes[a], nodes[b])
-        if existing > nonexistent:
-            wins += 1
-        elif existing == nonexistent:
-            ties += 1
-        else:
-            losses += 1
-    return AucTally(wins=wins, ties=ties, losses=losses)
+    pairs = scorer.pairs or _per_pair_batch(g_train, scorer.score)
+    present = draws[:, 0] >= 0
+    existing = np.zeros(len(draws))
+    existing[present] = pairs(draws[present, 0], draws[present, 1])
+    nonexistent = pairs(draws[:, 2], draws[:, 3])
+    wins = int(np.count_nonzero(existing > nonexistent))
+    ties = int(np.count_nonzero(existing == nonexistent))
+    return AucTally(wins=wins, ties=ties, losses=len(draws) - wins - ties)
 
 
 @dataclass(frozen=True)
 class TrialRecord:
     trial_seed: int
     level: str
-    auc: float
-    wins: int
-    ties: int
-    losses: int
+    tally: AucTally
+
+    @property
+    def auc(self) -> float:
+        return self.tally.auc
 
 
 @dataclass(frozen=True)
@@ -223,9 +221,8 @@ def run_experiment(
         )
         for factory in levels:
             scorer = factory.build(g_train, derive_seed(part_seed, "build", factory.tag))
-            tally = estimate_auc(g_train, draws, scorer)
-            records.append(TrialRecord(part_seed, factory.tag, tally.auc,
-                                       tally.wins, tally.ties, tally.losses))
+            records.append(TrialRecord(part_seed, factory.tag,
+                                       estimate_auc(g_train, draws, scorer)))
     return ExperimentResult(tuple(records))
 
 
@@ -288,7 +285,7 @@ def write_records_csv(result: ExperimentResult, path: Union[str, Path]) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["trial_seed", "level", "auc", "wins", "ties", "losses"])
         for r in result.records:
-            writer.writerow([r.trial_seed, r.level, repr(r.auc), r.wins, r.ties, r.losses])
+            writer.writerow([r.trial_seed, r.level, repr(r.auc), *astuple(r.tally)])
 
 
 def write_summary_csv(

@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -15,11 +15,11 @@ Edge = tuple[int, int]
 
 
 class EdgeListParseError(ValueError):
-    """An edge-list file or stream could not be parsed."""
+    """An edge-list file could not be parsed."""
 
 
 class TooFewEdgesError(ValueError):
-    """A graph has too few edges to split, or to train and draw on."""
+    """A graph has too few edges or non-edges to split, embed, train or draw on."""
 
 
 class SaturatedNodeError(RuntimeError):
@@ -109,37 +109,34 @@ class Graph:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"
 
 
-def load_edge_list(source: Union[str, Path, IO[str]]) -> tuple[Graph, int]:
-    """Parse an edge list: one edge per line, two whitespace-separated ints.
+def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
+    """Parse an edge-list file: one edge per line, two whitespace-separated ints.
 
     Blank lines are ignored. Self-loop lines are dropped; their count is
     returned alongside the graph. Raises :class:`EdgeListParseError` naming
     the offending line for malformed input.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return load_edge_list(handle)
-
     pairs: list[Edge] = []
     dropped_self_loops = 0
-    for lineno, line in enumerate(source, start=1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 2:
-            raise EdgeListParseError(
-                f"line {lineno}: expected two node ids, got {len(tokens)} tokens"
-            )
-        try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(
-                f"line {lineno}: non-integer node id in {line.strip()!r}"
-            ) from None
-        if u == v:
-            dropped_self_loops += 1
-            continue
-        pairs.append((u, v))
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 2:
+                raise EdgeListParseError(
+                    f"line {lineno}: expected two node ids, got {len(tokens)} tokens"
+                )
+            try:
+                u, v = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise EdgeListParseError(
+                    f"line {lineno}: non-integer node id in {line.strip()!r}"
+                ) from None
+            if u == v:
+                dropped_self_loops += 1
+                continue
+            pairs.append((u, v))
     return Graph(pairs), dropped_self_loops
 
 

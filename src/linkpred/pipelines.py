@@ -66,8 +66,10 @@ def embedding_factory(
 
     Rebuilt per training graph (and hence per partition); the factory seed
     drives walk generation, SGNS initialization/sampling, and negative-pair
-    selection through independent derived streams.
+    selection through independent derived streams. The classifier settings
+    are checked here, before any graph is walked.
     """
+    predictor.check_classifier_settings(reg_lambda, classifier_lr, classifier_epochs)
     if tag is None:
         tag = f"embed_d={train_config.dim}"
 
@@ -75,14 +77,13 @@ def embedding_factory(
         corpus = walks.generate_corpus(g_train, walk_params, derive_seed(seed, "walks"))
         config = replace(train_config, seed=derive_seed(seed, "sgns"))
         embedding = skipgram.train(corpus, config)
+        vectors = embedding.input_vectors[[embedding.vocab[u] for u in g_train.node_list]]
         features, labels = predictor.build_training_set(
-            g_train, embedding, operator,
-            seed=derive_seed(seed, "negatives"),
+            g_train, vectors, operator, seed=derive_seed(seed, "negatives")
         )
         classifier = predictor.train_logistic(
             features, labels, reg_lambda, classifier_lr, classifier_epochs
         )
-        vectors = embedding.input_vectors[[embedding.vocab[u] for u in g_train.node_list]]
 
         def pairs(rows, cols):
             return predictor.predict(

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, Graph
-from .skipgram import EmbeddingModel
+from .graph import Edge, Graph, TooFewEdgesError
 
 OPERATORS = ("hadamard", "average", "abs_diff")
 
@@ -30,24 +29,25 @@ def edge_features(
 
 def build_training_set(
     g_train: Graph,
-    model: EmbeddingModel,
+    vectors: np.ndarray,
     operator: str = "hadamard",
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced classifier data: every edge of ``g_train`` plus as many sampled
-    non-edges.
+    non-edges, featurized from ``vectors`` (row i is the node at dense index i).
 
     Negatives are distinct unordered non-edges of the training graph, drawn
     by rejection; they may coincide with withheld test edges, which the
-    scorer never sees. Deterministic for a fixed seed.
+    scorer never sees. Raises :class:`TooFewEdgesError` when the graph has
+    no edge or fewer non-edges than edges. Deterministic for a fixed seed.
     """
     wanted = g_train.num_edges
     if not wanted:
-        raise ValueError("no training edges")
+        raise TooFewEdgesError("no training edges")
     n_nodes = g_train.num_nodes
     available = n_nodes * (n_nodes - 1) // 2 - wanted
     if available < wanted:
-        raise ValueError(
+        raise TooFewEdgesError(
             f"graph too dense: {available} distinct non-edges available, need {wanted}"
         )
     rng = random.Random(seed)
@@ -64,10 +64,11 @@ def build_training_set(
             continue
         seen.add(key)
         negatives.append((u, v))
+    index = g_train.dense_index
     rows, cols = np.array(
-        [(model.vocab[u], model.vocab[v]) for u, v in (*g_train.edge_list, *negatives)]
+        [(index[u], index[v]) for u, v in (*g_train.edge_list, *negatives)]
     ).T
-    features = edge_features(model.input_vectors, rows, cols, operator)
+    features = edge_features(vectors, rows, cols, operator)
     labels = np.concatenate([np.ones(wanted), np.zeros(wanted)])
     return features, labels
 
@@ -102,6 +103,17 @@ def logistic_loss_and_grad(
     return loss, grad_w, grad_b
 
 
+def check_classifier_settings(reg_lambda: float, lr: float, epochs: int) -> None:
+    """Raise ValueError unless reg_lambda is finite and >= 0, lr is finite
+    and > 0, and epochs >= 1."""
+    if not 0.0 <= reg_lambda < np.inf:
+        raise ValueError(f"reg_lambda must be finite and >= 0, got {reg_lambda}")
+    if not 0.0 < lr < np.inf:
+        raise ValueError(f"classifier lr must be finite and > 0, got {lr}")
+    if epochs < 1:
+        raise ValueError(f"classifier epochs must be >= 1, got {epochs}")
+
+
 def train_logistic(
     features: np.ndarray,
     labels: np.ndarray,
@@ -118,8 +130,7 @@ def train_logistic(
         raise ValueError("features and labels disagree on row count")
     if not np.all(np.isfinite(features)):
         raise ValueError("non-finite feature values")
-    if reg_lambda < 0:
-        raise ValueError("reg_lambda must be >= 0")
+    check_classifier_settings(reg_lambda, lr, epochs)
     weights = np.zeros(features.shape[1])
     bias = 0.0
     for _ in range(epochs):

@@ -18,12 +18,8 @@ def build_transition(g: Graph) -> np.ndarray:
     """Row-stochastic transition matrix: P[i, j] = 1/k_i for each edge (i, j)."""
     if g.num_nodes == 0:
         raise ValueError("cannot build a transition matrix for an empty graph")
-    degrees = g.degrees
-    if not degrees.all():
-        u = g.node_list[int(np.argmin(degrees))]
-        raise ValueError(f"degree-zero node {u}: transition row undefined")
     adjacency = np.unpackbits(g.packed_adjacency, axis=1, count=g.num_nodes)
-    return adjacency / degrees[:, None]
+    return adjacency / g.degrees[:, None]
 
 
 def build_rwr(g: Graph, c: float) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +20,8 @@ from .walks import Walk
 # Dot products are clamped to this magnitude before the sigmoid to keep the
 # exp/log arithmetic finite.
 SCORE_CLAMP = 30.0
+LR_INITIAL = 0.025
+LR_FINAL = 0.0001
 
 
 @dataclass
@@ -28,8 +30,6 @@ class TrainConfig:
     window: int = 10
     epochs: int = 10
     negatives: int = 5
-    lr_initial: float = 0.025
-    lr_final: float = 0.0001
     seed: int = 0
 
     def __post_init__(self):
@@ -41,8 +41,6 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
-        if not self.lr_initial >= self.lr_final > 0:
-            raise ValueError("need lr_initial >= lr_final > 0")
 
 
 @dataclass
@@ -118,7 +116,7 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
 
     Input vectors start uniform in [-0.5/dim, 0.5/dim), output vectors at
     zero. Runs ``epochs`` passes over the shuffled pair stream with the
-    learning rate decaying linearly from lr_initial to lr_final across all
+    learning rate decaying linearly from LR_INITIAL to LR_FINAL across all
     steps. Single-threaded and deterministic for a fixed config seed.
     """
     corpus = list(corpus)
@@ -161,7 +159,7 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
     for _ in range(config.epochs):
         order = rng.permutation(n_pairs)
         negatives = rng.choice(n_nodes, size=(n_pairs, config.negatives), p=noise)
-        lrs = config.lr_initial + (config.lr_final - config.lr_initial) * (
+        lrs = LR_INITIAL + (LR_FINAL - LR_INITIAL) * (
             np.arange(done, done + n_pairs, dtype=float) / decay_denom
         )
         rows = np.column_stack((contexts_arr[order], negatives))
@@ -176,18 +174,15 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
     )
 
 
-def save_embedding(model: EmbeddingModel, sink: Union[str, Path, IO[str]]) -> None:
+def save_embedding(model: EmbeddingModel, path: Union[str, Path]) -> None:
     """Write "<count> <dim>" then one "<node> <v1> ... <vd>" line per node.
 
     Values are rendered with shortest-round-trip precision, so parsing them
     as floats reproduces the vectors exactly.
     """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            save_embedding(model, handle)
-        return
-    sink.write(f"{len(model.vocab)} {model.dim}\n")
-    for node, row in model.vocab.items():
-        rendered = " ".join(repr(float(x)) for x in model.input_vectors[row])
-        sink.write(f"{node} {rendered}\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"{len(model.vocab)} {model.dim}\n")
+        for node, row in model.vocab.items():
+            rendered = " ".join(repr(float(x)) for x in model.input_vectors[row])
+            handle.write(f"{node} {rendered}\n")
 

@@ -111,6 +111,33 @@ def test_infinite_p_q_is_a_usage_error(tmp_path, capsys):
         "error: p must be positive and finite with a finite reciprocal, got inf\n")
 
 
+def test_meaningless_classifier_setting_is_a_usage_error(tmp_path, capsys):
+    code = main(["auc", _chesapeake(tmp_path), "--method", "embed", "--lambda", "nan",
+                 *EMBED_FLAGS, "--out", str(tmp_path / "a")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: reg_lambda must be finite and >= 0, got nan\n"
+    assert not (tmp_path / "a_trials.csv").exists()
+
+
+def test_embed_of_an_empty_graph_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("", encoding="utf-8")
+    code = main(["embed", str(path), "--out", str(tmp_path / "e.emb")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: no edges to embed\n"
+
+
+def test_too_few_non_edges_for_the_classifier_is_a_data_error(tmp_path, capsys):
+    # 39 edges on 10 nodes: a training graph of 35 edges leaves 10 non-edges.
+    edges = _write(tmp_path / "dense.txt",
+                   [(u, v) for u in range(10) for v in range(u + 1, 10) if (u + v) % 7])
+    code = main(["auc", edges, "--method", "embed", *EMBED_FLAGS, "--trials", "2",
+                 "--out", str(tmp_path / "d")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: graph too dense: 10 distinct non-edges available, need 35\n")
+
+
 def test_embed_auc_csv_is_deterministic(tmp_path):
     edges = _chesapeake(tmp_path)
     for run in ("a", "b"):
@@ -147,6 +174,15 @@ def test_sweep_single_trial_prints_each_record(tmp_path, capsys):
                 for _, level, auc, *_ in (row.split(",") for row in rows)]
     assert capsys.readouterr().out.splitlines() == expected
     assert [line.split()[1] for line in expected] == ["level=cn", "level=aa"]
+
+
+def test_sweep_summary_needs_two_trials(tmp_path, capsys):
+    out, summary = tmp_path / "s1.csv", tmp_path / "s1_sum.csv"
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "index", "--values", "cn,aa",
+                 "--trials", "1", "--out", str(out), "--summary-out", str(summary)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --summary-out needs --trials >= 2\n"
+    assert not out.exists() and not summary.exists()
 
 
 def test_sweep_rejects_repeated_levels(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_golden_embedding_tallies():
     result = run_experiment(datasets.chesapeake_like(), EMBED_LEVELS, trials=3)
     tallies = {}
     for r in result.records:
-        tallies.setdefault(r.level, []).append((r.wins, r.ties, r.losses))
+        tallies.setdefault(r.level, []).append((r.tally.wins, r.tally.ties, r.tally.losses))
     assert {level: tuple(t) for level, t in tallies.items()} == GOLDEN_EMBED
 
 
@@ -129,15 +129,30 @@ def test_training_graph_built_once_per_trial(monkeypatch):
     assert len(calls) == 4
 
 
-def test_tally_counts_wins_ties_losses():
+TALLY_SCORES = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 0.5,
+                (2, 3): float("nan")}
+
+
+def _table_score(g, u, v):
+    return TALLY_SCORES[(u, v)]
+
+
+def _table_batch(rows, cols):
+    return np.array([TALLY_SCORES[(i, j)] for i, j in zip(rows.tolist(), cols.tolist())])
+
+
+@pytest.mark.parametrize("scorer", [Scorer("per_pair", _table_score),
+                                    Scorer("batch", _table_score, _table_batch)],
+                         ids=lambda scorer: scorer.tag)
+def test_tally_counts_wins_ties_losses(scorer):
     g = Graph([(0, 1), (1, 2), (2, 3)])  # dense index i is node i
-    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [-1, -1, 1, 3]])
-    scores = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 0.5}
-    tally = estimate_auc(g, draws, Scorer("t", lambda g, u, v: scores[(u, v)]))
-    assert tally == AucTally(wins=1, ties=1, losses=1)
-    assert tally.n == 3
-    assert tally.auc == 2.0 / 3.0
-    assert tally.auc_ties_only == 0.5
+    # win, tie, 0 vs 0.5, and 2 vs NaN: a NaN score never wins or ties
+    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [-1, -1, 1, 3], [0, 1, 2, 3]])
+    tally = estimate_auc(g, draws, scorer)
+    assert tally == AucTally(wins=1, ties=1, losses=2)
+    assert tally.n == 4
+    assert tally.auc == 0.625
+    assert tally.auc_ties_only == 0.375
 
 
 def test_batch_form_replaces_per_pair_calls():
@@ -181,14 +196,19 @@ def test_records_carry_the_tally(tmp_path):
     assert header == "trial_seed,level,auc,wins,ties,losses"
     assert len(rows) == len(result.records) == 4
     for record, row in zip(result.records, rows):
-        assert record.wins + record.ties + record.losses == 200
-        assert record.auc == AucTally(record.wins, record.ties, record.losses).auc
+        tally = record.tally
+        assert tally.wins + tally.ties + tally.losses == 200
+        assert record.auc == AucTally(tally.wins, tally.ties, tally.losses).auc
         assert row == (f"{record.trial_seed},{record.level},{record.auc!r},"
-                       f"{record.wins},{record.ties},{record.losses}")
+                       f"{tally.wins},{tally.ties},{tally.losses}")
 
 
 def _record(seed, level, auc):
-    return TrialRecord(seed, level, auc, wins=0, ties=0, losses=0)
+    # (wins + 0.5 ties) / 10 is exactly auc for the tenths from 0.5 to 1.0 used here
+    wins = round(20 * auc) - 10
+    record = TrialRecord(seed, level, AucTally(wins, ties=10 - wins, losses=0))
+    assert record.auc == auc
+    return record
 
 
 class TestPairedDifference:

@@ -1,4 +1,3 @@
-import io
 import random
 
 import pytest
@@ -15,36 +14,44 @@ from linkpred.graph import (
 )
 
 
+def _edge_file(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 class TestLoadEdgeList:
-    def test_duplicates_and_reversals_collapse(self):
-        g, dropped = load_edge_list(io.StringIO("0 1\n1 0\n0 1"))
+    def test_duplicates_and_reversals_collapse(self, tmp_path):
+        g, dropped = load_edge_list(_edge_file(tmp_path, "0 1\n1 0\n0 1"))
         assert g.num_nodes == 2
         assert g.num_edges == 1
         assert dropped == 0
 
-    def test_self_loops_dropped_with_count(self):
-        g, dropped = load_edge_list(io.StringIO("5 5\n0 1"))
+    def test_self_loops_dropped_with_count(self, tmp_path):
+        g, dropped = load_edge_list(_edge_file(tmp_path, "5 5\n0 1"))
         assert g.num_nodes == 2
         assert set(g.node_list) == {0, 1}
         assert g.num_edges == 1
         assert dropped == 1
 
-    def test_blank_lines_and_crlf(self):
-        g, _ = load_edge_list(io.StringIO("0 1\r\n\r\n2 3\r\n\n"))
+    def test_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"0 1\r\n\r\n2 3\r\n\n")
+        g, _ = load_edge_list(path)
         assert g.num_edges == 2
 
-    def test_non_integer_token_names_line(self):
+    def test_non_integer_token_names_line(self, tmp_path):
         with pytest.raises(EdgeListParseError, match="line 2"):
-            load_edge_list(io.StringIO("0 1\n0 x"))
+            load_edge_list(_edge_file(tmp_path, "0 1\n0 x"))
 
-    def test_wrong_arity_names_line(self):
+    def test_wrong_arity_names_line(self, tmp_path):
         with pytest.raises(EdgeListParseError, match="line 1"):
-            load_edge_list(io.StringIO("0 1 2\n3 4"))
+            load_edge_list(_edge_file(tmp_path, "0 1 2\n3 4"))
         with pytest.raises(EdgeListParseError, match="line 2"):
-            load_edge_list(io.StringIO("0 1\n3"))
+            load_edge_list(_edge_file(tmp_path, "0 1\n3"))
 
-    def test_empty_stream(self):
-        g, dropped = load_edge_list(io.StringIO(""))
+    def test_empty_stream(self, tmp_path):
+        g, dropped = load_edge_list(_edge_file(tmp_path, ""))
         assert g.num_nodes == 0
         assert g.num_edges == 0
         assert dropped == 0

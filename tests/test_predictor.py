@@ -10,16 +10,6 @@ from linkpred.predictor import (
     predict,
     train_logistic,
 )
-from linkpred.skipgram import EmbeddingModel
-
-
-def _embedding(vectors):
-    vectors = np.asarray(vectors, dtype=float)
-    return EmbeddingModel(
-        input_vectors=vectors,
-        output_vectors=np.zeros_like(vectors),
-        vocab={i: i for i in range(vectors.shape[0])},
-    )
 
 
 class TestEdgeFeatures:
@@ -61,7 +51,7 @@ class TestBuildTrainingSet:
     def _setup(self, seed=0):
         rng = np.random.default_rng(seed)
         g = Graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-        emb = _embedding(rng.normal(size=(6, 4)))
+        emb = rng.normal(size=(6, 4))
         return g, emb
 
     def test_balanced_counts(self):
@@ -76,7 +66,7 @@ class TestBuildTrainingSet:
         # them. With one-hot vectors each "average" row is (e_u + e_v) / 2,
         # so the pair can be read back from the row's two nonzero entries.
         g = Graph([(i, (i + 1) % 5) for i in range(5)])
-        X, y = build_training_set(g, _embedding(np.eye(5)), operator="average", seed=2)
+        X, y = build_training_set(g, np.eye(5), operator="average", seed=2)
         negatives = [frozenset(np.flatnonzero(row)) for row in X[y == 0]]
         non_edges = {frozenset((u, v)) for u in range(5) for v in range(u + 2, 5)
                      if (u, v) != (0, 4)}
@@ -86,7 +76,7 @@ class TestBuildTrainingSet:
     def test_complete_graph_errors(self):
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         g = Graph(pairs)
-        emb = _embedding(np.ones((4, 3)))
+        emb = np.ones((4, 3))
         with pytest.raises(ValueError, match="dense"):
             build_training_set(g, emb, seed=0)
 
@@ -165,6 +155,14 @@ class TestTrainLogistic:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             train_logistic(np.zeros((3, 2)), np.zeros(4))
+
+    @pytest.mark.parametrize("kwargs", [dict(reg_lambda=float("nan")), dict(lr=-1.0),
+                                        dict(lr=float("inf")), dict(epochs=0)])
+    def test_rejects_meaningless_settings(self, kwargs):
+        X = np.array([[-1.0], [1.0]])
+        y = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match=">"):
+            train_logistic(X, y, **kwargs)
 
 
 class TestPredictScore:

@@ -1,6 +1,5 @@
 import copy
 from collections import Counter
-import io
 import math
 
 import numpy as np
@@ -10,6 +9,8 @@ from hypothesis import strategies as st
 
 from linkpred.graph import Graph
 from linkpred.skipgram import (
+    LR_FINAL,
+    LR_INITIAL,
     EmbeddingModel,
     TrainConfig,
     pair_stream,
@@ -140,7 +141,7 @@ def _replay_train(corpus, config):
         order = rng.permutation(len(pairs))
         negatives = rng.choice(len(nodes), size=(len(pairs), config.negatives), p=noise)
         for t, i in enumerate(order):
-            lr = config.lr_initial + (config.lr_final - config.lr_initial) * (
+            lr = LR_INITIAL + (LR_FINAL - LR_INITIAL) * (
                 step / max(n_steps - 1, 1)
             )
             center, context = pairs[i]
@@ -222,8 +223,6 @@ class TestTrainConfig:
             dict(window=0),
             dict(epochs=0),
             dict(negatives=0),
-            dict(lr_initial=0.001, lr_final=0.01),
-            dict(lr_final=0.0),
         ],
     )
     def test_validation(self, kwargs):
@@ -232,15 +231,15 @@ class TestTrainConfig:
 
 
 class TestSaveLoad:
-    def test_exact_text_format(self):
+    def test_exact_text_format(self, tmp_path):
         model = EmbeddingModel(
             input_vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
             output_vectors=np.zeros((2, 2)),
             vocab={0: 0, 1: 1},
         )
-        sink = io.StringIO()
-        save_embedding(model, sink)
-        assert sink.getvalue() == "2 2\n0 1.0 0.0\n1 0.0 1.0\n"
+        path = tmp_path / "emb.txt"
+        save_embedding(model, path)
+        assert path.read_bytes() == b"2 2\n0 1.0 0.0\n1 0.0 1.0\n"
 
     def test_round_trip_exact(self, g1, tmp_path):
         corpus = _corpus(g1)
