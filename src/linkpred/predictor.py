@@ -121,7 +121,10 @@ def train_logistic(
     lr: float = 0.1,
     epochs: int = 500,
 ) -> LogisticModel:
-    """Full-batch gradient descent from a zero start; deterministic."""
+    """Full-batch gradient descent from a zero start; deterministic.
+
+    Raises ValueError when the fit diverges to a non-finite weight or bias.
+    """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     if features.ndim != 2 or features.shape[0] == 0:
@@ -133,12 +136,19 @@ def train_logistic(
     check_classifier_settings(reg_lambda, lr, epochs)
     weights = np.zeros(features.shape[1])
     bias = 0.0
-    for _ in range(epochs):
-        _, grad_w, grad_b = logistic_loss_and_grad(
-            weights, bias, features, labels, reg_lambda
+    # A diverging fit overflows; once non-finite it stays so, and is reported below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            _, grad_w, grad_b = logistic_loss_and_grad(
+                weights, bias, features, labels, reg_lambda
+            )
+            weights -= lr * grad_w
+            bias -= lr * grad_b
+    if not (np.all(np.isfinite(weights)) and np.isfinite(bias)):
+        raise ValueError(
+            f"classifier diverged to non-finite weights (lr={lr:g}, "
+            f"reg_lambda={reg_lambda:g}); use a smaller lr or reg_lambda"
         )
-        weights -= lr * grad_w
-        bias -= lr * grad_b
     return LogisticModel(weights=weights, bias=bias)
 
 

@@ -119,6 +119,16 @@ def test_meaningless_classifier_setting_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "a_trials.csv").exists()
 
 
+def test_diverging_classifier_is_a_usage_error(tmp_path, capsys):
+    code = main(["auc", _chesapeake(tmp_path), "--method", "embed", "--d", "4", "--r", "1",
+                 "--l", "5", "--k", "2", "--epochs", "1", "--trials", "2",
+                 "--clf-lr", "1e300", "--out", str(tmp_path / "a")])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: classifier diverged") and err.count("\n") == 1
+    assert not (tmp_path / "a_trials.csv").exists()
+
+
 def test_embed_of_an_empty_graph_is_a_data_error(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("", encoding="utf-8")

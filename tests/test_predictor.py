@@ -165,6 +165,14 @@ class TestTrainLogistic:
             train_logistic(X, y, **kwargs)
 
 
+    @pytest.mark.parametrize("kwargs", [dict(lr=1e300), dict(reg_lambda=1e300)])
+    def test_divergence_raises(self, kwargs):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(40, 4))
+        y = (rng.random(40) > 0.5).astype(float)
+        with pytest.raises(ValueError, match="diverged"):
+            train_logistic(X, y, **kwargs)
+
 class TestPredictScore:
     def test_zero_model(self):
         model = LogisticModel(weights=np.zeros(3), bias=0.0)

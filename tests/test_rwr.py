@@ -1,7 +1,11 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import random_connected_graph, random_simple_graph
+from linkpred import rwr
 from linkpred.graph import Graph
 from linkpred.pipelines import rwr_factory
 from linkpred.rwr import build_rwr, build_transition
@@ -127,3 +131,66 @@ def test_neumann_series_oracle(c):
             series += term
         assert np.abs(M - (1 - c) * series).max() < 1e-6
 
+
+
+def _lu_resolvent(g, c):
+    """Dense LU oracle: (1 - c) solve(I - c P^T, I)."""
+    P = build_transition(g)
+    n = P.shape[0]
+    return (1.0 - c) * np.linalg.solve(np.eye(n) - c * P.T, np.eye(n))
+
+
+def _random_bipartite_graph(a, b, n_edges, seed):
+    """Random edges between nodes 0..a-1 and a..a+b-1; the spectrum holds -1."""
+    rng = random.Random(seed)
+    pairs = {(rng.randrange(a), a + rng.randrange(b)) for _ in range(n_edges)}
+    return Graph(sorted(pairs))
+
+
+def _oracle_graphs():
+    for seed in range(4):
+        yield random_simple_graph(20 + 6 * seed, 14 + 8 * seed, seed)  # sparse; some are disconnected
+        yield random_connected_graph(10 + 8 * seed, 25 + 20 * seed, seed)
+        yield _random_bipartite_graph(5 + seed, 7 + 2 * seed, 15 + 6 * seed, seed)
+    yield Graph([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)])  # an edge and an even cycle
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9, 0.99])
+def test_matches_lu_oracle(c):
+    for g in _oracle_graphs():
+        assert np.abs(build_rwr(g, c) - _lu_resolvent(g, c)).max() <= 1e-12
+
+
+def test_c_just_below_one_is_finite():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in _oracle_graphs():
+            assert np.all(np.isfinite(build_rwr(g, np.nextafter(1.0, 0.0))))
+
+
+def _count_transitions(monkeypatch):
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return build_transition(g)
+
+    monkeypatch.setattr(rwr, "build_transition", counting)
+    return calls
+
+
+def test_graph_factored_once_for_all_levels(monkeypatch):
+    calls = _count_transitions(monkeypatch)
+    g = random_connected_graph(20, 40, 3)
+    for c in (0.1, 0.5, 0.9):
+        build_rwr(g, c)
+    assert len(calls) == 1
+
+
+def test_alternating_graphs_get_their_own_resolvent(monkeypatch):
+    calls = _count_transitions(monkeypatch)
+    g_a = random_connected_graph(20, 40, 4)
+    g_b = random_connected_graph(20, 40, 5)
+    for g in (g_a, g_b, g_a, g_b):
+        assert np.abs(build_rwr(g, 0.7) - _lu_resolvent(g, 0.7)).max() <= 1e-12
+    assert calls == [g_a, g_b, g_a, g_b]
