@@ -1,4 +1,4 @@
-"""Random-walk-with-restart similarity from one spectral factorization per graph.
+"""Random-walk-with-restart similarity: an LU solve, or one eigh per graph for many c.
 
 A surfer at node i moves to a uniform neighbor with probability c and jumps
 back to its start node with probability 1 - c. The stationary distribution
@@ -11,11 +11,15 @@ gives, for every c at once,
 
     M = (1 - c) (I + D^1/2 U diag(c lam / (1 - c lam)) U^T D^-1/2).
 
-The eigenvalues lie in [-1, 1] and c < 1, so 1 - c lam > 0. A study sweeps c
-on each training graph, so the last graph's factors are kept and each further
-level costs one n x n matrix product instead of a dense solve (Tong,
-Faloutsos & Pan, "Fast Random Walk with Restart", ICDM 2006, likewise reuse
-one decomposition per graph for every query).
+The eigenvalues lie in [-1, 1] and c < 1, so 1 - c lam > 0. On a 332-node
+graph one eigh and a matrix product per level cost about as much as two LU
+solves of I - c P^T and clearly less than three, so the factors pay off only
+on a graph asked for three or more levels, as a c sweep asks of each training
+graph. The last graph asked for is kept with its level count: its third level
+factors it, and the next graph is factored on its first level if the last
+one was asked for three or more; every other level is an LU solve. Tong,
+Faloutsos & Pan ("Fast Random Walk with Restart", ICDM 2006) likewise reuse
+one decomposition per graph for every query.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from .graph import Graph
 
 Factors = tuple[np.ndarray, np.ndarray, np.ndarray]
 
-# (graph, (lam, U, sqrt_k)) of the last graph factored. The graph is held, not
-# its id, so a new graph can never match a freed one's entry; Graph is
-# immutable, so a held entry never goes stale.
-_last: tuple[Graph, Factors] | None = None
+# (graph, levels asked of it, its factors or None) of the last graph asked
+# for. The graph is held, not its id, so a new graph can never match a freed
+# one's entry; Graph is immutable, so a held entry never goes stale.
+_last: tuple[Graph, int, Factors | None] | None = None
+_FACTOR_AT = 3  # levels per graph from which one eigh costs less than LU solves
 
 
 def build_transition(g: Graph) -> np.ndarray:
@@ -41,31 +46,44 @@ def build_transition(g: Graph) -> np.ndarray:
 
 
 def _factors(g: Graph) -> Factors:
-    """(lam, U, sqrt_k) with D^-1/2 A D^-1/2 = U diag(lam) U^T; one graph cached."""
-    global _last
-    if _last is not None and _last[0] is g:
-        return _last[1]
-    _last = None  # hold one factorization at a time
+    """(lam, U, sqrt_k) with D^-1/2 A D^-1/2 = U diag(lam) U^T."""
     N = build_transition(g)
     sqrt_k = np.sqrt(g.degrees)
     N *= sqrt_k[:, None]
     N /= sqrt_k
     lam, U = np.linalg.eigh(N)
     np.clip(lam, -1.0, 1.0, out=lam)
-    _last = (g, (lam, U, sqrt_k))
-    return _last[1]
+    return lam, U, sqrt_k
 
 
 def build_rwr(g: Graph, c: float) -> np.ndarray:
-    """The resolvent M = (1 - c) (I - c P^T)^{-1}, from the graph's spectral factors.
+    """The resolvent M = (1 - c) (I - c P^T)^{-1}, by dense LU or from spectral factors.
 
     Valid for 0 <= c < 1. Each column of M is a probability vector (sums to
     1); column x is the stationary distribution for start node
     ``g.node_list[x]``. At c = 0, M is exactly the identity.
     """
+    global _last
     if not 0.0 <= c < 1.0:
         raise ValueError(f"restart complement c must be in [0, 1), got {c}")
-    lam, U, sqrt_k = _factors(g)
+    if _last is not None and _last[0] is g:
+        levels, factors = _last[1] + 1, _last[2]
+        expected = levels
+    else:  # expect as many levels as were asked of the graph before
+        levels, factors = 1, None
+        expected = _last[1] if _last is not None else 1
+        _last = None  # hold one factorization at a time
+    if factors is None and expected >= _FACTOR_AT:
+        factors = _factors(g)
+    _last = (g, levels, factors)
+    if factors is None:
+        A = build_transition(g).T * -c
+        n = A.shape[0]
+        A.flat[:: n + 1] += 1.0
+        M = np.linalg.solve(A, np.eye(n))
+        M *= 1.0 - c
+        return M
+    lam, U, sqrt_k = factors
     left = U * (c * lam / (1.0 - c * lam))
     left *= sqrt_k[:, None]
     M = left @ U.T

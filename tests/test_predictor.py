@@ -164,7 +164,6 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match=">"):
             train_logistic(X, y, **kwargs)
 
-
     @pytest.mark.parametrize("kwargs", [dict(lr=1e300), dict(reg_lambda=1e300)])
     def test_divergence_raises(self, kwargs):
         rng = np.random.default_rng(7)
@@ -172,6 +171,7 @@ class TestTrainLogistic:
         y = (rng.random(40) > 0.5).astype(float)
         with pytest.raises(ValueError, match="diverged"):
             train_logistic(X, y, **kwargs)
+
 
 class TestPredictScore:
     def test_zero_model(self):

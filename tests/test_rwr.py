@@ -132,7 +132,6 @@ def test_neumann_series_oracle(c):
         assert np.abs(M - (1 - c) * series).max() < 1e-6
 
 
-
 def _lu_resolvent(g, c):
     """Dense LU oracle: (1 - c) solve(I - c P^T, I)."""
     P = build_transition(g)
@@ -149,7 +148,7 @@ def _random_bipartite_graph(a, b, n_edges, seed):
 
 def _oracle_graphs():
     for seed in range(4):
-        yield random_simple_graph(20 + 6 * seed, 14 + 8 * seed, seed)  # sparse; some are disconnected
+        yield random_simple_graph(20 + 6 * seed, 14 + 8 * seed, seed)  # sparse; some disconnected
         yield random_connected_graph(10 + 8 * seed, 25 + 20 * seed, seed)
         yield _random_bipartite_graph(5 + seed, 7 + 2 * seed, 15 + 6 * seed, seed)
     yield Graph([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)])  # an edge and an even cycle
@@ -157,15 +156,19 @@ def _oracle_graphs():
 
 @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9, 0.99])
 def test_matches_lu_oracle(c):
+    # A graph's third level always comes from its spectral factors.
     for g in _oracle_graphs():
-        assert np.abs(build_rwr(g, c) - _lu_resolvent(g, c)).max() <= 1e-12
+        for _ in range(3):
+            assert np.abs(build_rwr(g, c) - _lu_resolvent(g, c)).max() <= 1e-12
 
 
 def test_c_just_below_one_is_finite():
+    c = np.nextafter(1.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for g in _oracle_graphs():
-            assert np.all(np.isfinite(build_rwr(g, np.nextafter(1.0, 0.0))))
+            for _ in range(3):
+                assert np.all(np.isfinite(build_rwr(g, c)))
 
 
 def _count_transitions(monkeypatch):
@@ -179,18 +182,43 @@ def _count_transitions(monkeypatch):
     return calls
 
 
+def _ask_levels(g, k):
+    for c in np.linspace(0.1, 0.9, k):
+        build_rwr(g, c)
+
+
 def test_graph_factored_once_for_all_levels(monkeypatch):
+    _ask_levels(random_connected_graph(20, 40, 2), 3)
     calls = _count_transitions(monkeypatch)
     g = random_connected_graph(20, 40, 3)
-    for c in (0.1, 0.5, 0.9):
-        build_rwr(g, c)
+    _ask_levels(g, 4)
     assert len(calls) == 1
 
 
-def test_alternating_graphs_get_their_own_resolvent(monkeypatch):
+def test_first_graph_solved_then_factored(monkeypatch):
+    monkeypatch.setattr(rwr, "_last", None)
     calls = _count_transitions(monkeypatch)
+    g = random_connected_graph(20, 40, 3)
+    M = [build_rwr(g, c) for c in (0.1, 0.5, 0.9, 0.7)]
+    assert len(calls) == 3
+    assert np.array_equal(M[0], _lu_resolvent(g, 0.1))
+    assert np.array_equal(M[1], _lu_resolvent(g, 0.5))
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_graphs_with_few_levels_are_solved_by_lu(levels):
+    _ask_levels(random_connected_graph(20, 40, 2), 3)
+    # Factored, as the graph before it was asked for three levels.
+    _ask_levels(random_connected_graph(20, 40, 3), levels)
+    for seed in (4, 5, 6):
+        g = random_connected_graph(20, 40, seed)
+        for c in np.linspace(0.1, 0.9, levels):
+            assert np.array_equal(build_rwr(g, c), _lu_resolvent(g, c))
+
+
+def test_alternating_graphs_get_their_own_resolvent(monkeypatch):
+    monkeypatch.setattr(rwr, "_last", None)
     g_a = random_connected_graph(20, 40, 4)
     g_b = random_connected_graph(20, 40, 5)
-    for g in (g_a, g_b, g_a, g_b):
+    for g in (g_a, g_a, g_a, g_b, g_b, g_a, g_b, g_b, g_b, g_a):
         assert np.abs(build_rwr(g, 0.7) - _lu_resolvent(g, 0.7)).max() <= 1e-12
-    assert calls == [g_a, g_b, g_a, g_b]
