@@ -180,7 +180,7 @@ def cmd_sweep(args) -> int:
         walk_params, train_config = _walk_params(args), _train_config(args)
         if args.param == "c":
             levels = [(replace(walk_params, mode="restart", c=float(v)), train_config,
-                       f"embed_c={float(v):g}") for v in values]
+                       f"embed_c={float(v):.15g}") for v in values]
         else:
             levels = [(walk_params, replace(train_config, dim=int(v)), f"embed_d={int(v)}")
                       for v in values]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from dataclasses import dataclass
@@ -68,9 +69,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edge_list)
 
-    def neighbors(self, u: int) -> frozenset[int]:
-        return self.adjacency[u]
-
     def degree(self, u: int) -> int:
         return len(self.adjacency[u])
 
@@ -114,29 +112,36 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
 
     Blank lines are ignored. Self-loop lines are dropped; their count is
     returned alongside the graph. Raises :class:`EdgeListParseError` naming
-    the offending line for malformed input.
+    the offending line for malformed input, including bytes that are not
+    UTF-8 text.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # bytes.splitlines breaks lines where text mode does: at \n, \r and \r\n.
+        lineno = len((data[: exc.start] + b"x").splitlines())
+        raise EdgeListParseError(f"line {lineno}: not UTF-8 text") from None
     pairs: list[Edge] = []
     dropped_self_loops = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if len(tokens) != 2:
-                raise EdgeListParseError(
-                    f"line {lineno}: expected two node ids, got {len(tokens)} tokens"
-                )
-            try:
-                u, v = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"line {lineno}: non-integer node id in {line.strip()!r}"
-                ) from None
-            if u == v:
-                dropped_self_loops += 1
-                continue
-            pairs.append((u, v))
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        if len(tokens) != 2:
+            raise EdgeListParseError(
+                f"line {lineno}: expected two node ids, got {len(tokens)} tokens"
+            )
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise EdgeListParseError(
+                f"line {lineno}: non-integer node id in {line.strip()!r}"
+            ) from None
+        if u == v:
+            dropped_self_loops += 1
+            continue
+        pairs.append((u, v))
     return Graph(pairs), dropped_self_loops
 
 

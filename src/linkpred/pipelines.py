@@ -38,7 +38,7 @@ def local_index_factory(kind: str) -> ScorerFactory:
 
 def rwr_factory(c: float, tag: str | None = None) -> ScorerFactory:
     """Factory that scores pairs from the RWR resolvent of each training graph (rwr.build_rwr)."""
-    tag = tag if tag is not None else f"rwr_c={c:g}"
+    tag = tag if tag is not None else f"rwr_c={c:.15g}"
 
     def build(g_train, seed):
         M = rwr.build_rwr(g_train, c)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Edge, Graph, TooFewEdgesError
+from .graph import Graph, TooFewEdgesError
 
 OPERATORS = ("hadamard", "average", "abs_diff")
 
@@ -52,22 +52,16 @@ def build_training_set(
         )
     rng = random.Random(seed)
     nodes = g_train.node_list
-    seen: set[frozenset[int]] = set()
-    negatives: list[Edge] = []
-    while len(negatives) < wanted:
-        u = rng.choice(nodes)
-        v = rng.choice(nodes)
-        if u == v or g_train.has_edge(u, v):
-            continue
-        key = frozenset((u, v))
-        if key in seen:
-            continue
-        seen.add(key)
-        negatives.append((u, v))
     index = g_train.dense_index
-    rows, cols = np.array(
-        [(index[u], index[v]) for u, v in (*g_train.edge_list, *negatives)]
-    ).T
+    pairs = [(index[u], index[v]) for u, v in g_train.edge_list]
+    seen: set[tuple[int, int]] = set()
+    while len(pairs) < 2 * wanted:
+        i, j = rng.randrange(n_nodes), rng.randrange(n_nodes)
+        key = (min(i, j), max(i, j))
+        if i != j and key not in seen and not g_train.has_edge(nodes[i], nodes[j]):
+            seen.add(key)
+            pairs.append((i, j))
+    rows, cols = np.array(pairs).T
     features = edge_features(vectors, rows, cols, operator)
     labels = np.concatenate([np.ones(wanted), np.zeros(wanted)])
     return features, labels
@@ -84,23 +78,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -36.0, 36.0)))
 
 
-def logistic_loss_and_grad(
+def logistic_gradient(
     weights: np.ndarray,
     bias: float,
     features: np.ndarray,
     labels: np.ndarray,
     reg_lambda: float,
-) -> tuple[float, np.ndarray, float]:
-    """Mean cross-entropy + (reg_lambda/2) ||w||^2, with its exact gradient."""
+) -> tuple[np.ndarray, float]:
+    """Gradient of mean cross-entropy + (reg_lambda/2) ||w||^2 in (w, bias)."""
     z = features @ weights + bias
-    loss = float(
-        np.mean(np.logaddexp(0.0, z) - labels * z)
-        + 0.5 * reg_lambda * float(weights @ weights)
-    )
     residual = (_sigmoid(z) - labels) / labels.shape[0]
     grad_w = features.T @ residual + reg_lambda * weights
     grad_b = float(residual.sum())
-    return loss, grad_w, grad_b
+    return grad_w, grad_b
 
 
 def check_classifier_settings(reg_lambda: float, lr: float, epochs: int) -> None:
@@ -121,7 +111,8 @@ def train_logistic(
     lr: float = 0.1,
     epochs: int = 500,
 ) -> LogisticModel:
-    """Full-batch gradient descent from a zero start; deterministic.
+    """Full-batch gradient descent from a zero start on mean cross-entropy +
+    (reg_lambda/2) ||w||^2; deterministic.
 
     Raises ValueError when the fit diverges to a non-finite weight or bias.
     """
@@ -139,9 +130,7 @@ def train_logistic(
     # A diverging fit overflows; once non-finite it stays so, and is reported below.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(epochs):
-            _, grad_w, grad_b = logistic_loss_and_grad(
-                weights, bias, features, labels, reg_lambda
-            )
+            grad_w, grad_b = logistic_gradient(weights, bias, features, labels, reg_lambda)
             weights -= lr * grad_w
             bias -= lr * grad_b
     if not (np.all(np.isfinite(weights)) and np.isfinite(bias)):

@@ -198,11 +198,28 @@ def test_sweep_summary_needs_two_trials(tmp_path, capsys):
 def test_sweep_rejects_repeated_levels(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", _chesapeake(tmp_path), "--param", "c", "--values",
-                 "0.9999991,0.9999992", "--trials", "3", "--out", str(out)])
+                 "0.5,0.5", "--trials", "3", "--out", str(out)])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == (
-        "error: level tag 'rwr_c=0.999999' is repeated; records would merge\n")
+        "error: level tag 'rwr_c=0.5' is repeated; records would merge\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("method, flags", [("rwr", []), ("embed", EMBED_FLAGS)])
+def test_sweep_keeps_close_levels_apart(tmp_path, method, flags):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "c", "--method", method,
+                 *flags, "--values", "0.1,0.1000001", "--trials", "2", "--out", str(out)])
+    assert code == EXIT_OK
+    levels = [row.split(",")[1] for row in out.read_text().splitlines()[1:]]
+    assert levels == [f"{method}_c=0.1", f"{method}_c=0.1000001"] * 2
+
+
+def test_rwr_level_tag_keeps_c(tmp_path, capsys):
+    code = main(["auc", _chesapeake(tmp_path), "--method", "rwr", "--c", "0.999999999999",
+                 "--trials", "1", "--out", str(tmp_path / "near_one")])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.startswith("trial_seed=0 level=rwr_c=0.999999999999 ")
 
 
 def _stats(path):
@@ -234,3 +251,11 @@ def test_stats_parse_error(tmp_path):
     run = _stats(path)
     assert run.returncode == EXIT_DATA
     assert run.stderr == "error: line 2: non-integer node id in '1 x'\n"
+
+
+def test_stats_non_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n1 2\n\xff 3\n")
+    run = _stats(path)
+    assert run.returncode == EXIT_DATA
+    assert run.stderr == "error: line 3: not UTF-8 text\n"

@@ -50,6 +50,19 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="line 2"):
             load_edge_list(_edge_file(tmp_path, "0 1\n3"))
 
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff 1\n2 3\n", 1),
+        (b"0 1\n1 2\n\xff 3\n", 3),
+        (b"0 1\n\n7 \x80\n", 3),
+        (b"0 1\r\n\r\n1 2\r\n5 \xe9\r\n", 4),
+        (b"0 1\r1 2\r3 4\xc3", 3),
+    ], ids=["first", "after_lf", "after_blank", "crlf", "cr_truncated"])
+    def test_non_utf8_names_line(self, tmp_path, data, line):
+        path = tmp_path / "g.edges"
+        path.write_bytes(data)
+        with pytest.raises(EdgeListParseError, match=f"^line {line}: not UTF-8 text$"):
+            load_edge_list(path)
+
     def test_empty_stream(self, tmp_path):
         g, dropped = load_edge_list(_edge_file(tmp_path, ""))
         assert g.num_nodes == 0
@@ -88,7 +101,7 @@ class TestGraphQueries:
 
     def test_shared_neighbors_self(self, g1):
         for u in g1.node_list:
-            assert g1.shared_neighbors(u, u) == g1.neighbors(u)
+            assert g1.shared_neighbors(u, u) == g1.adjacency[u]
 
     def test_shared_neighbors_unknown_node(self, g1):
         with pytest.raises(KeyError):
@@ -173,7 +186,7 @@ class TestSampleNonNeighbor:
                 for _ in range(250):
                     w = sample_non_neighbor(g, u, rng)
                     assert w != u
-                    assert w not in g.neighbors(u)
+                    assert w not in g.adjacency[u]
 
 
 def _random_graph(seed, rng):

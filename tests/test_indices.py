@@ -85,7 +85,7 @@ def _naive_scores(adjacency, u, v):
 @given(edge_lists())
 def test_brute_force_oracle(pairs):
     g = Graph(pairs)
-    adjacency = {u: set(g.neighbors(u)) for u in g.node_list}
+    adjacency = {u: set(g.adjacency[u]) for u in g.node_list}
     for u in g.node_list:
         for v in g.node_list:
             if u == v:

@@ -1,12 +1,16 @@
+import random
+
 import numpy as np
 import pytest
 
-from linkpred.graph import Graph
+from linkpred import datasets
+from linkpred.graph import Graph, split_edges
 from linkpred.predictor import (
+    OPERATORS,
     LogisticModel,
     build_training_set,
     edge_features,
-    logistic_loss_and_grad,
+    logistic_gradient,
     predict,
     train_logistic,
 )
@@ -73,6 +77,39 @@ class TestBuildTrainingSet:
         assert len(negatives) == 5
         assert set(negatives) == non_edges
 
+    @staticmethod
+    def _reference_set(g, vectors, operator, seed):
+        # The negatives drawn as node ids by rng.choice and keyed by frozenset,
+        # then mapped to dense indices: the draw that build_training_set must match.
+        rng = random.Random(seed)
+        seen, negatives = set(), []
+        while len(negatives) < g.num_edges:
+            u = rng.choice(g.node_list)
+            v = rng.choice(g.node_list)
+            if u == v or g.has_edge(u, v) or frozenset((u, v)) in seen:
+                continue
+            seen.add(frozenset((u, v)))
+            negatives.append((u, v))
+        rows, cols = np.array([(g.dense_index[u], g.dense_index[v])
+                               for u, v in (*g.edge_list, *negatives)]).T
+        labels = np.concatenate([np.ones(g.num_edges), np.zeros(g.num_edges)])
+        return edge_features(vectors, rows, cols, operator), labels
+
+    def test_matches_node_id_draw(self):
+        graphs = [Graph(split_edges(datasets.chesapeake_like(), 0.1, p).train)
+                  for p in range(5)]
+        graphs.append(Graph([(i, (i + 1) % 5) for i in range(5)]))
+        graphs.append(Graph([(40, 7), (7, 23), (23, 2), (2, 91), (91, 15)]))
+        rng = np.random.default_rng(8)
+        for g in graphs:
+            vectors = rng.normal(size=(g.num_nodes, 6))
+            for seed in (0, 1, 17, 2023):
+                for operator in OPERATORS:
+                    X, y = build_training_set(g, vectors, operator, seed=seed)
+                    X_ref, y_ref = self._reference_set(g, vectors, operator, seed)
+                    assert np.array_equal(X, X_ref)
+                    assert np.array_equal(y, y_ref)
+
     def test_complete_graph_errors(self):
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
         g = Graph(pairs)
@@ -84,6 +121,12 @@ class TestBuildTrainingSet:
         g, emb = self._setup()
         with pytest.raises(ValueError):
             build_training_set(Graph([]), emb)
+
+
+def _objective(w, b, X, y, reg):
+    """Mean cross-entropy + (reg/2) ||w||^2: the reference for the fit's gradient."""
+    z = X @ w + b
+    return float(np.mean(np.logaddexp(0.0, z) - y * z) + 0.5 * reg * float(w @ w))
 
 
 class TestTrainLogistic:
@@ -110,20 +153,14 @@ class TestTrainLogistic:
             w = rng.normal(scale=0.5, size=8)
             b = float(rng.normal())
             reg = 10 ** rng.uniform(-5, -2)
-            _, grad_w, grad_b = logistic_loss_and_grad(w, b, X, y, reg)
+            grad_w, grad_b = logistic_gradient(w, b, X, y, reg)
             for i in range(8):
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
                 wm[i] -= h
-                fd = (
-                    logistic_loss_and_grad(wp, b, X, y, reg)[0]
-                    - logistic_loss_and_grad(wm, b, X, y, reg)[0]
-                ) / (2 * h)
+                fd = (_objective(wp, b, X, y, reg) - _objective(wm, b, X, y, reg)) / (2 * h)
                 assert grad_w[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
-            fd_b = (
-                logistic_loss_and_grad(w, b + h, X, y, reg)[0]
-                - logistic_loss_and_grad(w, b - h, X, y, reg)[0]
-            ) / (2 * h)
+            fd_b = (_objective(w, b + h, X, y, reg) - _objective(w, b - h, X, y, reg)) / (2 * h)
             assert grad_b == pytest.approx(fd_b, rel=1e-4, abs=1e-8)
 
     def test_loss_non_increasing_on_separable_set(self):
@@ -133,8 +170,8 @@ class TestTrainLogistic:
         b = 0.0
         losses = []
         for _ in range(200):
-            loss, gw, gb = logistic_loss_and_grad(w, b, X, y, 0.0)
-            losses.append(loss)
+            losses.append(_objective(w, b, X, y, 0.0))
+            gw, gb = logistic_gradient(w, b, X, y, 0.0)
             w -= 0.5 * gw
             b -= 0.5 * gb
         assert all(later <= earlier + 1e-12 for earlier, later in zip(losses, losses[1:]))

@@ -22,10 +22,10 @@ from linkpred.walks import (
 def _expected_distribution(g, prev, curr, p, q):
     """Independent reweighting straight from the transition-rule table."""
     weights = {}
-    for w in g.neighbors(curr):
+    for w in g.adjacency[curr]:
         if w == prev:
             weights[w] = 1 / p
-        elif w in g.neighbors(prev):
+        elif w in g.adjacency[prev]:
             weights[w] = 1.0
         else:
             weights[w] = 1 / q
@@ -165,7 +165,7 @@ class TestWeightedWalk:
         walk = weighted_walk(sorted_neighbors(g1), table, 3, 1, random.Random(5))
         assert len(walk) == 2
         assert walk[0] == 3
-        assert walk[1] in g1.neighbors(3)
+        assert walk[1] in g1.adjacency[3]
 
     def test_unknown_start(self, g1):
         table = build_alias_table(g1, 1.0, 1.0)
@@ -194,7 +194,7 @@ class TestWeightedWalk:
         for start in g1.node_list:
             walk = weighted_walk(nbrs, table, start, 30, rng)
             for prev, curr, nxt in zip(walk, walk[1:], walk[2:]):
-                assert nxt in g1.neighbors(curr)
+                assert nxt in g1.adjacency[curr]
                 assert _expected_distribution(g1, prev, curr, 4.0, 0.25)[nxt] > 0
 
 
@@ -224,7 +224,7 @@ class TestRestartWalk:
         for start in g1.node_list:
             walk = restart_walk(nbrs, start, 50, 0.6, rng)
             for prev, nxt in zip(walk, walk[1:]):
-                assert nxt == start or nxt in g1.neighbors(prev)
+                assert nxt == start or nxt in g1.adjacency[prev]
 
     def test_restart_frequency_on_star(self):
         # from the center, the next node is the center again iff the step
