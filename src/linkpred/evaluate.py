@@ -8,6 +8,8 @@ trial. Per trial, the training graph is built once and the n draws are made
 once, as an (n, 4) array of the training graph's dense node indices; every
 level scores that same graph and those same draws as two score arrays; a
 scorer without a batch form (``Scorer.pairs``) is called once per pair.
+The graph caches the matrices that scorers read from it (its adjacency
+matrix and common-neighbor counts), so the levels of a trial build each once.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class Scorer:
     indices of the training graph it was built on and returns a float
     array; it must agree with ``score`` pair by pair. :func:`estimate_auc`
     uses it when set; otherwise it calls ``score`` on each withheld pair,
-    then on each non-edge. Every built-in factory sets it; the RWR and
-    embedding scorers define ``score`` as ``pairs`` applied to one pair.
+    then on each non-edge. Every built-in factory sets it and defines
+    ``score`` as ``pairs`` applied to one pair.
     """
 
     tag: str

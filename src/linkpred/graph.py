@@ -36,7 +36,8 @@ class Graph:
     work, since real edge lists often have gaps in their id ranges.
     """
 
-    __slots__ = ("adjacency", "edge_list", "node_list", "dense_index", "_packed", "_degrees")
+    __slots__ = ("adjacency", "edge_list", "node_list", "dense_index", "_matrix", "_common",
+                 "_degrees")
 
     def __init__(self, pairs: Iterable[Edge]):
         adjacency: dict[int, set[int]] = {}
@@ -58,7 +59,8 @@ class Graph:
         self.edge_list: tuple[Edge, ...] = tuple(edges)
         self.node_list: tuple[int, ...] = tuple(self.adjacency)
         self.dense_index: dict[int, int] = {u: i for i, u in enumerate(self.node_list)}
-        self._packed: np.ndarray | None = None
+        self._matrix: np.ndarray | None = None
+        self._common: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
 
     @property
@@ -75,10 +77,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, ())
 
-    def shared_neighbors(self, u: int, v: int) -> frozenset[int]:
-        """Common neighbors N(u) & N(v)."""
-        return self.adjacency[u] & self.adjacency[v]
-
     @property
     def degrees(self) -> np.ndarray:
         """Degree of each node by dense index (built on first use)."""
@@ -88,11 +86,10 @@ class Graph:
         return self._degrees
 
     @property
-    def packed_adjacency(self) -> np.ndarray:
-        """Adjacency matrix over dense indices, one ``np.packbits`` row of
-        ceil(n/8) uint8 per node (built on first use): bit j of row i is set
-        when nodes i and j are adjacent."""
-        if self._packed is None:
+    def adjacency_matrix(self) -> np.ndarray:
+        """(n, n) bool adjacency matrix over dense indices (built on first use):
+        entry [i, j] is True when nodes i and j are adjacent."""
+        if self._matrix is None:
             ends = np.fromiter(
                 map(self.dense_index.__getitem__, chain.from_iterable(self.edge_list)),
                 np.intp, 2 * self.num_edges,
@@ -100,8 +97,17 @@ class Graph:
             dense = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
             dense[ends[:, 0], ends[:, 1]] = True
             dense[ends[:, 1], ends[:, 0]] = True
-            self._packed = np.packbits(dense, axis=1)
-        return self._packed
+            self._matrix = dense
+        return self._matrix
+
+    @property
+    def common_neighbor_counts(self) -> np.ndarray:
+        """(n, n) float matrix A @ A (built on first use): entry [i, j] counts
+        the common neighbors of nodes i and j, and [i, i] is the degree of i."""
+        if self._common is None:
+            A = self.adjacency_matrix.astype(float)
+            self._common = A @ A
+        return self._common
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

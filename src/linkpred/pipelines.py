@@ -27,11 +27,11 @@ def local_index_factory(kind: str) -> ScorerFactory:
         raise ValueError(
             f"unknown index {kind!r}; choose from {sorted(indices.LOCAL_INDICES)}"
         )
-    score = indices.LOCAL_INDICES[kind]
-    batch = indices.BATCH_INDICES[kind]
+    index = indices.LOCAL_INDICES[kind]
 
     def build(g_train, seed):
-        return Scorer(kind, score, partial(batch, g_train))
+        pairs = partial(index, g_train)
+        return Scorer(kind, _one_pair(g_train, pairs), pairs)
 
     return ScorerFactory(kind, build)
 

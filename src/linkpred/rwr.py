@@ -38,11 +38,11 @@ _FACTOR_AT = 3  # levels per graph from which one eigh costs less than LU solves
 
 
 def build_transition(g: Graph) -> np.ndarray:
-    """Row-stochastic transition matrix: P[i, j] = 1/k_i for each edge (i, j)."""
+    """Row-stochastic transition matrix P = D^-1 A: ``Graph.adjacency_matrix``
+    with row i divided by k_i, so P[i, j] = 1/k_i for each edge (i, j)."""
     if g.num_nodes == 0:
         raise ValueError("cannot build a transition matrix for an empty graph")
-    adjacency = np.unpackbits(g.packed_adjacency, axis=1, count=g.num_nodes)
-    return adjacency / g.degrees[:, None]
+    return g.adjacency_matrix / g.degrees[:, None]
 
 
 def _factors(g: Graph) -> Factors:

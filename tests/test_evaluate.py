@@ -182,7 +182,8 @@ def test_score_is_the_batch_form_on_one_pair():
     ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
     rows = np.array([g.dense_index[u] for u, _ in ordered])
     cols = np.array([g.dense_index[v] for _, v in ordered])
-    for factory in [rwr_factory(0.5)] + EMBED_LEVELS:
+    local = [local_index_factory(k) for k in LOCAL_INDICES]
+    for factory in local + [rwr_factory(0.5)] + EMBED_LEVELS:
         scorer = factory.build(g, 0)
         assert scorer.pairs(rows, cols).tolist() == [scorer.score(g, u, v) for u, v in ordered]
 

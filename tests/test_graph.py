@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -96,16 +97,13 @@ class TestGraphQueries:
             g1.degree(99)
 
     def test_shared_neighbors_g1(self, g1):
-        assert g1.shared_neighbors(1, 2) == {0, 3}
-        assert g1.shared_neighbors(0, 4) == frozenset()
+        counts, index = g1.common_neighbor_counts, g1.dense_index
+        assert counts[index[1], index[2]] == 2  # {0, 3}
+        assert counts[index[0], index[4]] == 0
 
     def test_shared_neighbors_self(self, g1):
-        for u in g1.node_list:
-            assert g1.shared_neighbors(u, u) == g1.adjacency[u]
-
-    def test_shared_neighbors_unknown_node(self, g1):
-        with pytest.raises(KeyError):
-            g1.shared_neighbors(0, 99)
+        # a node shares all of its neighbors with itself
+        assert np.diagonal(g1.common_neighbor_counts).tolist() == g1.degrees.tolist()
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -211,18 +209,23 @@ class TestInvariants:
             assert u in g.adjacency[v]
 
     @given(edge_lists())
-    def test_shared_neighbors_symmetric(self, pairs):
+    def test_adjacency_matrix_matches_has_edge(self, pairs):
         g = Graph(pairs)
+        A = g.adjacency_matrix
+        assert A.dtype == bool
+        assert A.shape == (g.num_nodes, g.num_nodes)
+        assert np.array_equal(A, A.T)
+        assert not np.diagonal(A).any()
         for u in g.node_list:
             for v in g.node_list:
-                assert g.shared_neighbors(u, v) == g.shared_neighbors(v, u)
+                assert A[g.dense_index[u], g.dense_index[v]] == g.has_edge(u, v)
 
     @given(edge_lists())
-    def test_common_neighbor_degree_at_least_two(self, pairs):
+    def test_shared_neighbors_symmetric(self, pairs):
         g = Graph(pairs)
+        counts = g.common_neighbor_counts
+        assert np.array_equal(counts, counts.T)
         for u in g.node_list:
             for v in g.node_list:
-                if u == v:
-                    continue
-                for w in g.shared_neighbors(u, v):
-                    assert g.degree(w) >= 2
+                shared = g.adjacency[u] & g.adjacency[v]
+                assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)

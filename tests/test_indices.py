@@ -4,66 +4,85 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import edge_lists
+from conftest import edge_lists, random_connected_graph
+from linkpred import evaluate
+from linkpred.evaluate import run_experiment
 from linkpred.graph import Graph
-from linkpred.indices import (
-    BATCH_INDICES,
-    LOCAL_INDICES,
-    adamic_adar,
-    common_neighbors,
-    hub_depressed,
-    hub_promoted,
-    lhn1,
-    lhn1_variant,
-)
+from linkpred.indices import LOCAL_INDICES
+from linkpred.pipelines import local_index_factory
+
+KINDS = {
+    "common_neighbors": "cn",
+    "hub_promoted": "hub_prom",
+    "hub_depressed": "hub_depr",
+    "lhn1": "lhn1",
+    "adamic_adar": "aa",
+    "lhn1_variant": "lhn1_var",
+}
 
 # Hand-derived on G1 (degrees k0=2, k1=3, k2=3, k3=3, k4=1):
 #   shared(1,2) = {0,3}; shared(0,3) = {1,2}; shared(0,4) = {}
 G1_CASES = [
-    (common_neighbors, 1, 2, 2.0),
-    (common_neighbors, 0, 4, 0.0),
-    (hub_promoted, 1, 2, 2 / 3),  # 2 / min(3,3)
-    (hub_promoted, 0, 3, 1.0),  # 2 / min(2,3)
-    (hub_promoted, 0, 4, 0.0),
-    (hub_depressed, 1, 2, 2 / 3),  # 2 / max(3,3)
-    (hub_depressed, 0, 3, 2 / 3),  # 2 / max(2,3)
-    (hub_depressed, 0, 4, 0.0),
-    (lhn1, 1, 2, 2 / 9),
-    (lhn1, 0, 3, 1 / 3),
-    (lhn1, 0, 4, 0.0),
-    (adamic_adar, 1, 2, 5.417831369176747),  # 1/log10(2) + 1/log10(3)
-    (adamic_adar, 0, 3, 4.19180654857877),  # 2/log10(3)
-    (adamic_adar, 0, 4, 0.0),
-    (lhn1_variant, 1, 2, 2.095903274289385),  # 2/log10(9)
-    (lhn1_variant, 0, 3, 2.5701944178769374),  # 2/log10(6)
+    ("common_neighbors", 1, 2, 2.0),
+    ("common_neighbors", 0, 4, 0.0),
+    ("hub_promoted", 1, 2, 2 / 3),  # 2 / min(3,3)
+    ("hub_promoted", 0, 3, 1.0),  # 2 / min(2,3)
+    ("hub_promoted", 0, 4, 0.0),
+    ("hub_depressed", 1, 2, 2 / 3),  # 2 / max(3,3)
+    ("hub_depressed", 0, 3, 2 / 3),  # 2 / max(2,3)
+    ("hub_depressed", 0, 4, 0.0),
+    ("lhn1", 1, 2, 2 / 9),
+    ("lhn1", 0, 3, 1 / 3),
+    ("lhn1", 0, 4, 0.0),
+    ("adamic_adar", 1, 2, 5.417831369176747),  # 1/log10(2) + 1/log10(3)
+    ("adamic_adar", 0, 3, 4.19180654857877),  # 2/log10(3)
+    ("adamic_adar", 0, 4, 0.0),
+    ("lhn1_variant", 1, 2, 2.095903274289385),  # 2/log10(9)
+    ("lhn1_variant", 0, 3, 2.5701944178769374),  # 2/log10(6)
 ]
+
+
+def _score(g, kind, u, v):
+    """One pair of node ids through the index's array form."""
+    rows, cols = np.array([g.dense_index[u]]), np.array([g.dense_index[v]])
+    return LOCAL_INDICES[kind](g, rows, cols)[0]
+
+
+def _ordered_pairs(g):
+    """Node ids and dense rows, cols of every ordered pair of distinct nodes."""
+    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
+    rows = np.array([g.dense_index[u] for u, _ in ordered], dtype=np.intp)
+    cols = np.array([g.dense_index[v] for _, v in ordered], dtype=np.intp)
+    return ordered, rows, cols
 
 
 @pytest.mark.parametrize("index,u,v,expected", G1_CASES)
 def test_g1_values(g1, index, u, v, expected):
-    assert index(g1, u, v) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    assert _score(g1, KINDS[index], u, v) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_common_neighbors_path():
     g = Graph([(0, 1), (1, 2)])
-    assert common_neighbors(g, 0, 2) == 1
+    assert _score(g, "cn", 0, 2) == 1
 
 
 def test_lhn1_variant_zero_denominator():
     # both endpoints degree 1: log10(1 * 1) = 0, so the score is defined as 0
     g = Graph([(0, 1), (2, 3)])
-    assert lhn1_variant(g, 0, 1) == 0.0
+    with np.errstate(all="raise"):
+        assert _score(g, "lhn1_var", 0, 1) == 0.0
 
 
 def test_unknown_node_raises():
     g = Graph([(0, 1), (1, 2)])
-    for index in LOCAL_INDICES.values():
+    for kind in LOCAL_INDICES:
+        scorer = local_index_factory(kind).build(g, 0)
         with pytest.raises(KeyError):
-            index(g, 0, 99)
+            scorer.score(g, 0, 99)
 
 
 def test_cli_names_cover_all_six():
-    assert set(LOCAL_INDICES) == {"cn", "hub_prom", "hub_depr", "lhn1", "aa", "lhn1_var"}
+    assert list(LOCAL_INDICES) == ["cn", "hub_prom", "hub_depr", "lhn1", "aa", "lhn1_var"]
 
 
 def _naive_scores(adjacency, u, v):
@@ -86,70 +105,71 @@ def _naive_scores(adjacency, u, v):
 def test_brute_force_oracle(pairs):
     g = Graph(pairs)
     adjacency = {u: set(g.adjacency[u]) for u in g.node_list}
-    for u in g.node_list:
-        for v in g.node_list:
-            if u == v:
-                continue
-            expected = _naive_scores(adjacency, u, v)
-            for name, index in LOCAL_INDICES.items():
-                assert index(g, u, v) == pytest.approx(
-                    expected[name], rel=1e-12, abs=1e-15
-                )
+    ordered, rows, cols = _ordered_pairs(g)
+    naive = [_naive_scores(adjacency, u, v) for u, v in ordered]
+    for name, index in LOCAL_INDICES.items():
+        with np.errstate(all="raise"):
+            got = index(g, rows, cols)
+        expected = [scores[name] for scores in naive]
+        if name in ("aa", "lhn1_var"):  # numpy log10 and summation order
+            assert got.tolist() == pytest.approx(expected, rel=1e-12, abs=0), name
+        else:
+            assert got.tolist() == expected, name
 
 
 @given(edge_lists())
 def test_symmetry(pairs):
     g = Graph(pairs)
-    for u in g.node_list:
-        for v in g.node_list:
-            if u == v:
-                continue
-            for index in LOCAL_INDICES.values():
-                assert index(g, u, v) == index(g, v, u)
+    _, rows, cols = _ordered_pairs(g)
+    for index in LOCAL_INDICES.values():
+        assert index(g, rows, cols).tolist() == index(g, cols, rows).tolist()
 
 
 @given(edge_lists())
 def test_hub_depressed_never_exceeds_hub_promoted(pairs):
     g = Graph(pairs)
-    for u in g.node_list:
-        for v in g.node_list:
-            if u != v:
-                assert hub_depressed(g, u, v) <= hub_promoted(g, u, v) + 1e-15
+    _, rows, cols = _ordered_pairs(g)
+    depressed = LOCAL_INDICES["hub_depr"](g, rows, cols)
+    assert np.all(depressed <= LOCAL_INDICES["hub_prom"](g, rows, cols) + 1e-15)
 
 
 @given(edge_lists())
 def test_zero_shared_neighbors_means_zero_score(pairs):
     g = Graph(pairs)
-    for u in g.node_list:
-        for v in g.node_list:
-            if u != v and not g.shared_neighbors(u, v):
-                for index in LOCAL_INDICES.values():
-                    assert index(g, u, v) == 0.0
+    ordered, rows, cols = _ordered_pairs(g)
+    none_shared = np.array([not g.adjacency[u] & g.adjacency[v] for u, v in ordered],
+                           dtype=bool)
+    for index in LOCAL_INDICES.values():
+        assert np.all(index(g, rows, cols)[none_shared] == 0.0)
 
 
 @given(edge_lists())
 def test_adamic_adar_guard_is_unreachable(pairs):
-    # every common neighbor has degree >= 2, so adamic_adar never divides by log10(1) = 0
+    # every common neighbor has degree >= 2, so adamic_adar never uses the
+    # weight it leaves at 0 for degree 1
     g = Graph(pairs)
-    for u in g.node_list:
-        for v in g.node_list:
-            if u == v:
-                continue
-            assert all(g.degree(w) >= 2 for w in g.shared_neighbors(u, v))
+    _, rows, cols = _ordered_pairs(g)
+    A = g.adjacency_matrix
+    assert np.all(g.degrees[np.nonzero(A[rows] & A[cols])[1]] >= 2)
 
 
-@given(edge_lists())
-def test_batch_forms_match_per_pair(pairs):
-    g = Graph(pairs)
-    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
-    rows = np.array([g.dense_index[u] for u, _ in ordered])
-    cols = np.array([g.dense_index[v] for _, v in ordered])
-    assert BATCH_INDICES.keys() == LOCAL_INDICES.keys()
-    for name, batch in BATCH_INDICES.items():
-        with np.errstate(all="raise"):
-            got = batch(g, rows, cols)
-        expected = [LOCAL_INDICES[name](g, u, v) for u, v in ordered]
-        if name in ("aa", "lhn1_var"):  # numpy log10 and summation order
-            assert got.tolist() == pytest.approx(expected, rel=1e-12, abs=0), name
-        else:
-            assert got.tolist() == expected, name
+def test_one_common_neighbor_product_per_training_graph(monkeypatch):
+    # The six local levels of a trial share its training graph, so A @ A is
+    # built once per trial, not once per level or per column of draws.
+    builds = []
+
+    class CountingGraph(Graph):
+        __slots__ = ()
+
+        @property
+        def common_neighbor_counts(self):
+            if self._common is None:
+                builds.append(self)
+            return Graph.common_neighbor_counts.fget(self)
+
+    monkeypatch.setattr(evaluate, "Graph", CountingGraph)
+    levels = [local_index_factory(kind) for kind in LOCAL_INDICES]
+    run_experiment(random_connected_graph(40, 120, seed=3), levels, trials=3,
+                   comparisons=200)
+    assert len(builds) == 3
+    assert len({id(g) for g in builds}) == 3
