@@ -229,3 +229,12 @@ class TestInvariants:
             for v in g.node_list:
                 shared = g.adjacency[u] & g.adjacency[v]
                 assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)
+
+    @given(edge_lists())
+    def test_common_neighbor_degree_at_least_two(self, pairs):
+        g = Graph(pairs)
+        A = g.adjacency_matrix
+        for i in range(g.num_nodes):
+            for j in range(g.num_nodes):
+                if i != j:
+                    assert np.all(g.degrees[A[i] & A[j]] >= 2)

@@ -153,6 +153,23 @@ def test_adamic_adar_guard_is_unreachable(pairs):
     assert np.all(g.degrees[np.nonzero(A[rows] & A[cols])[1]] >= 2)
 
 
+
+@given(edge_lists())
+def test_batch_forms_match_per_pair(pairs):
+    # a scorer's pairs form over all ordered pairs at once agrees with its
+    # score form called one pair at a time
+    g = Graph(pairs)
+    ordered, rows, cols = _ordered_pairs(g)
+    for kind in LOCAL_INDICES:
+        scorer = local_index_factory(kind).build(g, 0)
+        with np.errstate(all="raise"):
+            got = scorer.pairs(rows, cols)
+            expected = [scorer.score(g, u, v) for u, v in ordered]
+        if kind in ("aa", "lhn1_var"):  # numpy summation order may differ
+            assert got.tolist() == pytest.approx(expected, rel=1e-12, abs=0), kind
+        else:
+            assert got.tolist() == expected, kind
+
 def test_one_common_neighbor_product_per_training_graph(monkeypatch):
     # The six local levels of a trial share its training graph, so A @ A is
     # built once per trial, not once per level or per column of draws.
