@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .evaluate import (
     paired_difference,
@@ -92,20 +91,43 @@ def _train_config(args, seed: int = 0) -> TrainConfig:
                        negatives=args.negatives, seed=seed)
 
 
-def _embedding_factory(args, walk_params: WalkParams, train_config: TrainConfig, tag: str):
-    return embedding_factory(
-        walk_params, train_config, operator=args.operator,
-        reg_lambda=args.reg_lambda, classifier_lr=args.clf_lr,
-        classifier_epochs=args.clf_epochs, tag=tag,
-    )
-
-
-def _method_factory(args):
+def _method_factory(args, embed_tag: str = "embed"):
+    """Build ``args.method`` from the shared flags, as every auc and sweep level
+    is built; an embedding level is tagged ``embed_tag``."""
     if args.method in LOCAL_INDICES:
         return local_index_factory(args.method)
     if args.method == "rwr":
         return rwr_factory(args.c)
-    return _embedding_factory(args, _walk_params(args), _train_config(args), "embed")
+    return embedding_factory(
+        _walk_params(args), _train_config(args), operator=args.operator,
+        reg_lambda=args.reg_lambda, classifier_lr=args.clf_lr,
+        classifier_epochs=args.clf_epochs, tag=embed_tag,
+    )
+
+
+def _sweep_levels(args) -> list[tuple[argparse.Namespace, str]]:
+    """Each level's flags and embedding tag: a copy of ``args`` with the swept
+    flag set to one --values entry (a c level walks with restarts). A sweep
+    that reads nothing, or a value the flag cannot take, raises ValueError."""
+    if args.param == "d" and args.method == "rwr":
+        raise ValueError("unsupported sweep: param=d method=rwr")
+    values = [v.strip() for v in args.values.split(",") if v.strip()]
+    if not values:
+        raise ValueError("--values is empty")
+    convert, levels = {"method": str, "c": float, "d": int}[args.param], []
+    for text in values:
+        if args.param == "method" and text not in METHODS:
+            raise ValueError(f"unknown method {text!r}; choose from {', '.join(METHODS)}")
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ValueError(f"--values: {text!r} is not a valid {args.param}") from None
+        level = argparse.Namespace(**{**vars(args), args.param: value})
+        if args.param == "c":
+            level.mode = "restart"
+        levels.append((level, "embed" if args.param == "method"
+                       else f"embed_{args.param}={value:.15g}"))
+    return levels
 
 
 def cmd_stats(args) -> int:
@@ -164,32 +186,10 @@ def cmd_embed(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.summary_out and args.trials < 2:
-        print("error: --summary-out needs --trials >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--summary-out needs --trials >= 2")
+    levels = _sweep_levels(args)
     graph = _load(args.edgelist)
-    values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not values:
-        print("error: --values is empty", file=sys.stderr)
-        return EXIT_USAGE
-
-    if args.param == "index":
-        factories = [local_index_factory(v) for v in values]
-    elif args.param == "c" and args.method == "rwr":
-        factories = [rwr_factory(float(v)) for v in values]
-    elif args.param in ("c", "d") and args.method == "embed":
-        walk_params, train_config = _walk_params(args), _train_config(args)
-        if args.param == "c":
-            levels = [(replace(walk_params, mode="restart", c=float(v)), train_config,
-                       f"embed_c={float(v):.15g}") for v in values]
-        else:
-            levels = [(walk_params, replace(train_config, dim=int(v)), f"embed_d={int(v)}")
-                      for v in values]
-        factories = [_embedding_factory(args, *level) for level in levels]
-    else:
-        print(f"error: unsupported sweep: param={args.param} method={args.method}",
-              file=sys.stderr)
-        return EXIT_USAGE
-
+    factories = [_method_factory(level, tag) for level, tag in levels]
     return _run_and_report(args, graph, factories, args.out, args.summary_out)
 
 
@@ -224,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="paired sweep over one parameter")
     p_sweep.add_argument("edgelist")
-    p_sweep.add_argument("--param", choices=("c", "d", "index"), required=True)
+    p_sweep.add_argument("--param", choices=("method", "c", "d"), required=True)
     p_sweep.add_argument("--method", choices=("rwr", "embed"), default="rwr")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated levels, e.g. 0.1,0.5,0.9")
+                         help="comma-separated levels, e.g. cn,rwr,embed or 0.1,0.5,0.9")
     p_sweep.add_argument("--c", type=float, default=0.9)
     _add_split_options(p_sweep)
     _add_embedding_options(p_sweep)

@@ -71,9 +71,6 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edge_list)
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, ())
 

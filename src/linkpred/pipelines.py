@@ -36,9 +36,9 @@ def local_index_factory(kind: str) -> ScorerFactory:
     return ScorerFactory(kind, build)
 
 
-def rwr_factory(c: float, tag: str | None = None) -> ScorerFactory:
+def rwr_factory(c: float) -> ScorerFactory:
     """Factory that scores pairs from the RWR resolvent of each training graph (rwr.build_rwr)."""
-    tag = tag if tag is not None else f"rwr_c={c:.15g}"
+    tag = f"rwr_c={c:.15g}"
 
     def build(g_train, seed):
         M = rwr.build_rwr(g_train, c)
@@ -60,7 +60,8 @@ def embedding_factory(
     reg_lambda: float = 1e-4,
     classifier_lr: float = 0.1,
     classifier_epochs: int = 500,
-    tag: str | None = None,
+    *,
+    tag: str,
 ) -> ScorerFactory:
     """Full embedding pipeline: walks -> SGNS -> logistic classifier.
 
@@ -70,8 +71,6 @@ def embedding_factory(
     are checked here, before any graph is walked.
     """
     predictor.check_classifier_settings(reg_lambda, classifier_lr, classifier_epochs)
-    if tag is None:
-        tag = f"embed_d={train_config.dim}"
 
     def build(g_train, seed):
         corpus = walks.generate_corpus(g_train, walk_params, derive_seed(seed, "walks"))

@@ -161,7 +161,7 @@ def test_embed_auc_csv_is_deterministic(tmp_path):
 
 def test_sweep_prints_paired_differences(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code = main(["sweep", _chesapeake(tmp_path), "--param", "index", "--values", "cn,aa",
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "method", "--values", "cn,aa",
                  "--trials", "3", "--out", str(out)])
     assert code == EXIT_OK
     rows = out.read_text().splitlines()
@@ -176,7 +176,7 @@ def test_sweep_prints_paired_differences(tmp_path, capsys):
 
 def test_sweep_single_trial_prints_each_record(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code = main(["sweep", _chesapeake(tmp_path), "--param", "index", "--values", "cn,aa",
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "method", "--values", "cn,aa",
                  "--trials", "1", "--seed", "7", "--out", str(out)])
     assert code == EXIT_OK
     rows = out.read_text().splitlines()[1:]
@@ -188,11 +188,47 @@ def test_sweep_single_trial_prints_each_record(tmp_path, capsys):
 
 def test_sweep_summary_needs_two_trials(tmp_path, capsys):
     out, summary = tmp_path / "s1.csv", tmp_path / "s1_sum.csv"
-    code = main(["sweep", _chesapeake(tmp_path), "--param", "index", "--values", "cn,aa",
+    code = main(["sweep", _chesapeake(tmp_path), "--param", "method", "--values", "cn,aa",
                  "--trials", "1", "--out", str(out), "--summary-out", str(summary)])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err == "error: --summary-out needs --trials >= 2\n"
     assert not out.exists() and not summary.exists()
+
+
+TINY_EMBED = ["--d", "4", "--r", "1", "--l", "5", "--k", "2", "--epochs", "1"]
+
+
+def test_method_sweep_levels_match_auc_runs(tmp_path):
+    edges, run = _chesapeake(tmp_path), ["--trials", "1", "--seed", "5", "--n", "300"]
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", edges, "--param", "method", "--values", "cn,rwr,embed",
+                 *TINY_EMBED, *run, "--out", str(out)])
+    assert code == EXIT_OK
+    header, *rows = out.read_text().splitlines()
+    assert [row.split(",")[1] for row in rows] == ["cn", "rwr_c=0.9", "embed"]
+    for method, row in zip(("cn", "rwr", "embed"), rows):
+        assert main(["auc", edges, "--method", method, *TINY_EMBED, *run,
+                     "--out", str(tmp_path / method)]) == EXIT_OK
+        assert (tmp_path / f"{method}_trials.csv").read_text().splitlines() == [header, row]
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--param", "d", "--method", "rwr", "--values", "4,8"],
+     "error: unsupported sweep: param=d method=rwr\n"),
+    (["--param", "method", "--values", "cn,bogus"],
+     "error: unknown method 'bogus'; choose from "
+     "cn, hub_prom, hub_depr, lhn1, aa, lhn1_var, rwr, embed\n"),
+    (["--param", "c", "--values", "0.5,high"], "error: --values: 'high' is not a valid c\n"),
+    (["--param", "d", "--method", "embed", "--values", "8,1.5"],
+     "error: --values: '1.5' is not a valid d\n"),
+], ids=["d_with_rwr", "unknown_method", "c_not_a_number", "d_not_an_int"])
+def test_sweep_rejects_bad_values_before_reading(tmp_path, capsys, flags, err):
+    # The edge list does not exist: the values are checked before it is read.
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", str(tmp_path / "missing.txt"), *flags, "--out", str(out)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == err
+    assert not out.exists()
 
 
 def test_sweep_rejects_repeated_levels(tmp_path, capsys):

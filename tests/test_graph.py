@@ -81,20 +81,16 @@ class TestLoadEdgeList:
 class TestGraphQueries:
     def test_degree_triangle(self):
         g = Graph([(0, 1), (0, 2), (1, 2)])
-        assert g.degree(0) == 2
+        assert g.degrees.tolist() == [2, 2, 2]
 
     def test_degree_path(self):
         g = Graph([(0, 1), (1, 2)])
-        assert g.degree(1) == 2
-        assert g.degree(0) == 1
+        assert g.degrees[g.dense_index[1]] == 2
+        assert g.degrees[g.dense_index[0]] == 1
 
     def test_degree_star(self):
         g = Graph([(0, i) for i in range(1, 6)])
-        assert g.degree(0) == 5
-
-    def test_degree_unknown_node(self, g1):
-        with pytest.raises(KeyError):
-            g1.degree(99)
+        assert g.degrees.tolist() == [5, 1, 1, 1, 1, 1]
 
     def test_shared_neighbors_g1(self, g1):
         counts, index = g1.common_neighbor_counts, g1.dense_index
@@ -179,7 +175,7 @@ class TestSampleNonNeighbor:
         for seed in range(20):
             g = _random_graph(seed, rng)
             for u in g.node_list:
-                if g.degree(u) >= g.num_nodes - 1:
+                if len(g.adjacency[u]) >= g.num_nodes - 1:
                     continue
                 for _ in range(250):
                     w = sample_non_neighbor(g, u, rng)
@@ -201,7 +197,7 @@ class TestInvariants:
     @given(edge_lists())
     def test_construction_invariants(self, pairs):
         g = Graph(pairs)
-        assert sum(g.degree(u) for u in g.node_list) == 2 * g.num_edges
+        assert sum(map(len, g.adjacency.values())) == 2 * g.num_edges
         assert set(g.node_list) == set(g.adjacency)
         assert sorted(g.dense_index.values()) == list(range(g.num_nodes))
         for u, v in g.edge_list:

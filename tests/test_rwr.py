@@ -48,7 +48,7 @@ def _loop_transition(g):
     """Entry-by-entry oracle: P[i, j] = 1/k_i for each edge (i, j)."""
     P = np.zeros((g.num_nodes, g.num_nodes))
     for u in g.node_list:
-        w = 1.0 / g.degree(u)
+        w = 1.0 / len(g.adjacency[u])
         for v in g.adjacency[u]:
             P[g.dense_index[u], g.dense_index[v]] = w
     return P
