@@ -99,10 +99,10 @@ class Graph:
 
     @property
     def common_neighbor_counts(self) -> np.ndarray:
-        """(n, n) float matrix A @ A (built on first use): entry [i, j] counts
-        the common neighbors of nodes i and j, and [i, i] is the degree of i."""
+        """(n, n) float32 matrix A @ A (built on first use; counts < 2^24 are exact):
+        entry [i, j] counts the common neighbors of i and j, [i, i] the degree of i."""
         if self._common is None:
-            A = self.adjacency_matrix.astype(float)
+            A = self.adjacency_matrix.astype(np.float32)
             self._common = A @ A
         return self._common
 

@@ -66,8 +66,9 @@ class TestResolvent:
         assert np.allclose(M, expected, atol=1e-12)
 
     def test_c_zero_gives_identity(self, g1):
-        M = build_rwr(g1, 0.0)
-        assert np.allclose(M, np.eye(g1.num_nodes), atol=1e-12)
+        # The 120-node graph is split into blocks before any is inverted.
+        for g in (g1, random_connected_graph(120, 300, 0)):
+            assert np.array_equal(build_rwr(g, 0.0), np.eye(g.num_nodes))
 
     @pytest.mark.parametrize("c", [-0.1, 1.0, 1.5])
     def test_c_out_of_range(self, g1, c):
@@ -156,7 +157,6 @@ def _oracle_graphs():
 
 @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9, 0.99])
 def test_matches_lu_oracle(c):
-    # A graph's third level always comes from its spectral factors.
     for g in _oracle_graphs():
         for _ in range(3):
             assert np.abs(build_rwr(g, c) - _lu_resolvent(g, c)).max() <= 1e-12
@@ -171,54 +171,45 @@ def test_c_just_below_one_is_finite():
                 assert np.all(np.isfinite(build_rwr(g, c)))
 
 
-def _count_transitions(monkeypatch):
-    calls = []
-
-    def counting(g):
-        calls.append(g)
-        return build_transition(g)
-
-    monkeypatch.setattr(rwr, "build_transition", counting)
-    return calls
+def _random_spd(n, seed):
+    """Exactly symmetric, eigenvalues in [1, 2]."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    B = (Q * rng.uniform(1.0, 2.0, n)) @ Q.T
+    return (B + B.T) / 2
 
 
-def _ask_levels(g, k):
-    for c in np.linspace(0.1, 0.9, k):
-        build_rwr(g, c)
+@pytest.mark.parametrize("n", [1, 2, rwr._LEAF - 1, rwr._LEAF, rwr._LEAF + 1,
+                               2 * rwr._LEAF + 3, 332])
+def test_spd_inverse_matches_numpy_inverse(n):
+    B = _random_spd(n, n)
+    R, expected = rwr._spd_inverse(B.copy()), np.linalg.inv(B)
+    assert np.abs(R - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(R, R.T)
 
 
-def test_graph_factored_once_for_all_levels(monkeypatch):
-    _ask_levels(random_connected_graph(20, 40, 2), 3)
-    calls = _count_transitions(monkeypatch)
-    g = random_connected_graph(20, 40, 3)
-    _ask_levels(g, 4)
-    assert len(calls) == 1
+def test_level_is_independent_of_call_history():
+    g_a = random_connected_graph(120, 300, 4)
+    g_b = random_connected_graph(120, 300, 5)
+    first = build_rwr(g_a, 0.7)
+    build_rwr(g_b, 0.7)
+    assert np.array_equal(build_rwr(g_a, 0.7), first)
+    for c in (0.1, 0.5, 0.9):
+        build_rwr(g_a, c)
+    assert np.array_equal(build_rwr(g_a, 0.7), first)
 
 
-def test_first_graph_solved_then_factored(monkeypatch):
-    monkeypatch.setattr(rwr, "_last", None)
-    calls = _count_transitions(monkeypatch)
-    g = random_connected_graph(20, 40, 3)
-    M = [build_rwr(g, c) for c in (0.1, 0.5, 0.9, 0.7)]
-    assert len(calls) == 3
-    assert np.array_equal(M[0], _lu_resolvent(g, 0.1))
-    assert np.array_equal(M[1], _lu_resolvent(g, 0.5))
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
+def test_cross_component_scores_are_exactly_zero(c):
+    from scipy.sparse.csgraph import connected_components
 
-
-@pytest.mark.parametrize("levels", [1, 2])
-def test_graphs_with_few_levels_are_solved_by_lu(levels):
-    _ask_levels(random_connected_graph(20, 40, 2), 3)
-    # Factored, as the graph before it was asked for three levels.
-    _ask_levels(random_connected_graph(20, 40, 3), levels)
-    for seed in (4, 5, 6):
-        g = random_connected_graph(20, 40, seed)
-        for c in np.linspace(0.1, 0.9, levels):
-            assert np.array_equal(build_rwr(g, c), _lu_resolvent(g, c))
-
-
-def test_alternating_graphs_get_their_own_resolvent(monkeypatch):
-    monkeypatch.setattr(rwr, "_last", None)
-    g_a = random_connected_graph(20, 40, 4)
-    g_b = random_connected_graph(20, 40, 5)
-    for g in (g_a, g_a, g_a, g_b, g_b, g_a, g_b, g_b, g_b, g_a):
-        assert np.abs(build_rwr(g, 0.7) - _lu_resolvent(g, 0.7)).max() <= 1e-12
+    # Graphs of 30 ids fit one LAPACK block; 150 ids are split into blocks.
+    for n_ids, n_edges in ((30, 25), (150, 120)):
+        pairs_apart = 0
+        for seed in range(20):
+            g = random_simple_graph(n_ids, n_edges, seed)
+            _, label = connected_components(g.adjacency_matrix, directed=False)
+            apart = label[:, None] != label
+            pairs_apart += apart.sum()
+            assert np.all(build_rwr(g, c)[apart] == 0.0)
+        assert pairs_apart > 0
