@@ -2,14 +2,18 @@
 
 AUC is estimated by n paired draws: a uniform withheld edge against a
 sampled nonexistent pair, tallying wins, ties and losses of the withheld
-edge. Experiments use a paired design: every level (index kind, c value,
-dimension, ...) is evaluated on the same train/test partitions, trial by
-trial. Per trial, the training graph is built once and the n draws are made
-once, as an (n, 4) array of the training graph's dense node indices; every
-level scores that same graph and those same draws as two score arrays; a
-scorer without a batch form (``Scorer.pairs``) is called once per pair.
-The graph caches the matrices that scorers read from it (its adjacency
-matrix and common-neighbor counts), so the levels of a trial build each once.
+edge. Each trial's randomness comes from numpy Generators: ``split_edges``
+permutes the edge list under the absolute partition seed, and
+``draw_comparisons`` makes all n draws in batch, with the same sampling law
+as one draw at a time. Experiments use a paired design: every level (index
+kind, c value, dimension, ...) is evaluated on the same train/test
+partitions, trial by trial. Per trial, the training graph is built once and
+the n draws are made once, as an (n, 4) array of the training graph's dense
+node indices; every level scores that same graph and those same draws as
+two score arrays; a scorer without a batch form (``Scorer.pairs``) is
+called once per pair. The graph caches the matrices that scorers read from
+it (its adjacency matrix and common-neighbor counts), so the levels of a
+trial build each once.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import random
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -110,7 +113,10 @@ def draw_comparisons(
     is absent from the training graph (it then scores 0). The nonexistent pair
     is a uniform training node that has a non-neighbor plus a uniform
     non-neighbor of it (not uniform over all non-edges; it leans toward
-    pairs incident to sparse neighborhoods). Raises
+    pairs incident to sparse neighborhoods). All three columns are drawn in
+    batch from one ``np.random.Generator`` seeded with ``seed`` (a
+    non-negative int); the non-neighbors come from one
+    :func:`~linkpred.graph.sample_non_neighbor` call. Raises
     :class:`TooFewEdgesError` when the training graph has no edge and
     :class:`SaturatedNodeError` when every training node is adjacent to
     every other. Deterministic for a fixed seed.
@@ -121,20 +127,18 @@ def draw_comparisons(
         raise ValueError("empty test set")
     if g_train.num_edges == 0:
         raise TooFewEdgesError("empty training graph")
-    full_degree = g_train.num_nodes - 1
-    starts = [u for u in g_train.node_list if len(g_train.adjacency[u]) < full_degree]
-    if not starts:
+    starts = np.flatnonzero(g_train.degrees < g_train.num_nodes - 1)
+    if not starts.size:
         raise SaturatedNodeError("every training node is adjacent to every other node")
     index = g_train.dense_index
-    rng = random.Random(seed)
-    draws: list[tuple[int, int, int, int]] = []
-    for _ in range(n):
-        u, v = rng.choice(partition.test)
-        withheld = (index[u], index[v]) if u in index and v in index else (-1, -1)
-        a = rng.choice(starts)
-        b = sample_non_neighbor(g_train, a, rng)
-        draws.append((*withheld, index[a], index[b]))
-    return np.array(draws, dtype=np.intp)
+    withheld = np.array([(index[u], index[v]) if u in index and v in index else (-1, -1)
+                         for u, v in partition.test], dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    draws = np.empty((n, 4), dtype=np.intp)
+    draws[:, :2] = withheld[rng.integers(len(withheld), size=n)]
+    draws[:, 2] = starts[rng.integers(starts.size, size=n)]
+    draws[:, 3] = sample_non_neighbor(g_train, draws[:, 2], rng)
+    return draws
 
 
 def _per_pair_batch(g_train: Graph, score: ScoreFn) -> PairsFn:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import io
 import math
-import random
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -159,31 +158,47 @@ class EdgePartition:
 def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:
     """Uniformly random edge partition, fully determined by ``seed``.
 
-    The test set gets ``ceil(test_fraction * num_edges)`` edges. The graph's
-    stored edge list is never reordered; a copy is shuffled. Raises
+    The stored edge list is indexed by a uniform permutation from
+    ``np.random.default_rng(abs(seed))``, so a seed and its negative give the
+    same partition. The test set gets ``ceil(test_fraction * num_edges)``
+    edges; the graph's stored edge list is never reordered. Raises
     :class:`TooFewEdgesError` for a graph with fewer than two edges.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if g.num_edges < 2:
         raise TooFewEdgesError("need at least two edges to split")
-    edges = list(g.edge_list)
-    random.Random(seed).shuffle(edges)
-    n_test = math.ceil(test_fraction * len(edges))
-    return EdgePartition(train=tuple(edges[n_test:]), test=tuple(edges[:n_test]))
+    order = np.random.default_rng(abs(seed)).permutation(g.num_edges).tolist()
+    edges = tuple(map(g.edge_list.__getitem__, order))
+    n_test = math.ceil(test_fraction * g.num_edges)
+    return EdgePartition(train=edges[n_test:], test=edges[:n_test])
 
 
-def sample_non_neighbor(g: Graph, u: int, rng: random.Random) -> int:
-    """Uniform draw from the nodes that are neither ``u`` nor neighbors of ``u``.
+def sample_non_neighbor(g: Graph, starts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """For each dense index in ``starts``, a uniform draw from the nodes that are
+    neither that start nor one of its neighbors, as dense indices.
 
-    Rejection-samples from the node list. Raises :class:`SaturatedNodeError`
-    when ``u`` is adjacent to every other node instead of looping forever.
+    Rejection-samples in rounds: each round draws a uniform node for every
+    entry still open and rejects those that :attr:`Graph.adjacency_matrix`
+    marks as neighbors or that hit the start itself. Raises
+    :class:`SaturatedNodeError` when a start is adjacent to every other node
+    instead of looping forever, and :class:`IndexError` for an index outside
+    ``[0, num_nodes)``.
     """
-    neighbors = g.adjacency[u]
-    if len(neighbors) >= g.num_nodes - 1:
-        raise SaturatedNodeError(f"node {u} is adjacent to every other node")
-    nodes = g.node_list
-    while True:
-        w = rng.choice(nodes)
-        if w != u and w not in neighbors:
-            return w
+    starts = np.asarray(starts, dtype=np.intp)
+    n = g.num_nodes
+    if starts.size and not 0 <= starts.min() <= starts.max() < n:
+        raise IndexError(f"dense index out of range [0, {n})")
+    saturated = starts[g.degrees[starts] >= n - 1]
+    if saturated.size:
+        raise SaturatedNodeError(
+            f"node {g.node_list[saturated[0]]} is adjacent to every other node")
+    A = g.adjacency_matrix
+    drawn = np.empty_like(starts)
+    todo = np.arange(starts.size)
+    while todo.size:
+        at = starts[todo]
+        redraw = rng.integers(n, size=todo.size)
+        drawn[todo] = redraw
+        todo = todo[A[at, redraw] | (redraw == at)]
+    return drawn

@@ -8,6 +8,7 @@ import pytest
 import linkpred
 from linkpred import datasets
 from linkpred.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from linkpred.graph import Graph, split_edges
 
 
 def _write(path, pairs):
@@ -27,12 +28,28 @@ def test_wheel_graph_runs(tmp_path):
 
 
 def test_complete_training_graph_is_a_data_error(tmp_path, capsys):
-    # With --seed 1 the one test edge is (3, 4), leaving a triangle to train on.
-    edges = _write(tmp_path / "tri.txt", [(0, 1), (0, 2), (1, 2), (3, 4)])
-    code = main(["auc", edges, "--method", "cn", "--trials", "1", "--seed", "1",
+    # With --seed 2 the one test edge is (3, 4), leaving a triangle to train on.
+    pairs = [(0, 1), (0, 2), (1, 2), (3, 4)]
+    assert split_edges(Graph(pairs), 0.1, 2).test == ((3, 4),)
+    edges = _write(tmp_path / "tri.txt", pairs)
+    code = main(["auc", edges, "--method", "cn", "--trials", "1", "--seed", "2",
                  "--out", str(tmp_path / "tri")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_negative_seed_runs(tmp_path):
+    # A partition seed and its negative give the same split; the comparison
+    # draws are seeded from the signed seed, so the records are the negative
+    # seed's own, and the same on every run.
+    edges = _chesapeake(tmp_path)
+    for run in ("a", "b"):
+        code = main(["auc", edges, "--method", "cn", "--trials", "2", "--seed", "-3",
+                     "--out", str(tmp_path / run)])
+        assert code == EXIT_OK
+    rows = (tmp_path / "a_trials.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["-3", "cn"], ["-2", "cn"]]
+    assert (tmp_path / "a_trials.csv").read_bytes() == (tmp_path / "b_trials.csv").read_bytes()
 
 
 def test_single_edge_is_a_data_error(tmp_path, capsys):

@@ -121,6 +121,10 @@ class TestSplitEdges:
     def test_deterministic(self, g1):
         assert split_edges(g1, 0.25, seed=9) == split_edges(g1, 0.25, seed=9)
 
+    def test_negative_seed_gives_the_positive_seeds_split(self, g1):
+        for seed in range(1, 20):
+            assert split_edges(g1, 0.4, -seed) == split_edges(g1, 0.4, seed)
+
     def test_different_seeds_differ(self):
         g = Graph([(0, i) for i in range(1, 171)])
         assert split_edges(g, 0.1, seed=1) != split_edges(g, 0.1, seed=2)
@@ -145,42 +149,40 @@ class TestSplitEdges:
 
 class TestSampleNonNeighbor:
     def test_single_candidate(self):
-        g = Graph([(0, 1), (1, 2)])
-        rng = random.Random(0)
-        assert all(sample_non_neighbor(g, 0, rng) == 2 for _ in range(50))
+        g = Graph([(0, 1), (1, 2)])  # dense index i is node i
+        draws = sample_non_neighbor(g, np.zeros(50, dtype=np.intp), np.random.default_rng(0))
+        assert draws.tolist() == [2] * 50
 
     def test_saturated_node(self):
-        g = Graph([(0, 1), (0, 2), (1, 2)])
-        with pytest.raises(SaturatedNodeError):
-            sample_non_neighbor(g, 0, random.Random(0))
+        g = Graph([(0, 1), (0, 2), (1, 2), (2, 3)])  # node 2 is adjacent to all others
+        with pytest.raises(SaturatedNodeError, match="node 2"):
+            sample_non_neighbor(g, np.array([0, 2, 1]), np.random.default_rng(0))
 
     def test_unknown_node(self, g1):
-        with pytest.raises(KeyError):
-            sample_non_neighbor(g1, 99, random.Random(0))
+        for index in (5, 99, -1):  # g1 has dense indices 0..4; -1 must not wrap around
+            with pytest.raises(IndexError):
+                sample_non_neighbor(g1, np.array([0, index]), np.random.default_rng(0))
 
     def test_star_leaf_uniform(self):
         # from leaf 1 the candidates are the other four leaves, p = 1/4 each
-        g = Graph([(0, i) for i in range(1, 6)])
-        rng = random.Random(42)
+        g = Graph([(0, i) for i in range(1, 6)])  # dense index i is node i
         draws = 100_000
-        counts = {w: 0 for w in (2, 3, 4, 5)}
-        for _ in range(draws):
-            counts[sample_non_neighbor(g, 1, rng)] += 1
+        got = sample_non_neighbor(g, np.full(draws, 1), np.random.default_rng(42))
+        counts = np.bincount(got, minlength=6)
+        assert counts[[0, 1]].tolist() == [0, 0]
         sigma = (0.25 * 0.75 / draws) ** 0.5
-        for w in counts:
+        for w in (2, 3, 4, 5):
             assert abs(counts[w] / draws - 0.25) < 3 * sigma
 
     def test_never_returns_self_or_neighbor(self):
         rng = random.Random(7)
         for seed in range(20):
             g = _random_graph(seed, rng)
-            for u in g.node_list:
-                if len(g.adjacency[u]) >= g.num_nodes - 1:
-                    continue
-                for _ in range(250):
-                    w = sample_non_neighbor(g, u, rng)
-                    assert w != u
-                    assert w not in g.adjacency[u]
+            starts = np.repeat(np.flatnonzero(g.degrees < g.num_nodes - 1), 250)
+            drawn = sample_non_neighbor(g, starts, np.random.default_rng(seed))
+            assert drawn.shape == starts.shape
+            assert not np.any(drawn == starts)
+            assert not np.any(g.adjacency_matrix[starts, drawn])
 
 
 def _random_graph(seed, rng):
