@@ -10,6 +10,7 @@ desk-scale inputs. Everything is a pure function of its seed.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
@@ -91,21 +92,14 @@ def planted_partition_graph(
     """
     rng = random.Random(seed)
     block = [i * n_blocks // n_nodes for i in range(n_nodes)]
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n_nodes)}
-    pairs: list[tuple[int, int]] = []
+    pairs = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes)
+             if rng.random() < (p_in if block[u] == block[v] else p_out)]
+    touched = set(chain.from_iterable(pairs))
     for u in range(n_nodes):
-        for v in range(u + 1, n_nodes):
-            p = p_in if block[u] == block[v] else p_out
-            if rng.random() < p:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-                pairs.append((u, v))
-    for u in range(n_nodes):
-        if not adjacency[u]:
+        if u not in touched:
             peers = [v for v in range(n_nodes) if v != u and block[v] == block[u]]
             v = rng.choice(peers)
-            adjacency[u].add(v)
-            adjacency[v].add(u)
+            touched.update((u, v))
             pairs.append((min(u, v), max(u, v)))
     return Graph(pairs)
 

@@ -7,13 +7,14 @@ permutes the edge list under the absolute partition seed, and
 ``draw_comparisons`` makes all n draws in batch, with the same sampling law
 as one draw at a time. Experiments use a paired design: every level (index
 kind, c value, dimension, ...) is evaluated on the same train/test
-partitions, trial by trial. Per trial, the training graph is built once and
-the n draws are made once, as an (n, 4) array of the training graph's dense
-node indices; every level scores that same graph and those same draws as
-two score arrays; a scorer without a batch form (``Scorer.pairs``) is
-called once per pair. The graph caches the matrices that scorers read from
-it (its adjacency matrix and common-neighbor counts), so the levels of a
-trial build each once.
+partitions, trial by trial. Per trial, the training graph is built once,
+from the split's (k, 2) array of training node ids, and the n draws are
+made once, as an (n, 4) array of the training graph's dense node indices;
+every level scores that same graph and those same draws as two score
+arrays; a scorer without a batch form (``Scorer.pairs``) is called once per
+pair. The graph caches the matrices that scorers read from it (its
+adjacency matrix and common-neighbor counts), so the levels of a trial
+build each once.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def draw_comparisons(
     """
     if n < 1:
         raise ValueError("need at least one comparison")
-    if not partition.test:
+    if not len(partition.test):
         raise ValueError("empty test set")
     if g_train.num_edges == 0:
         raise TooFewEdgesError("empty training graph")
@@ -132,7 +133,7 @@ def draw_comparisons(
         raise SaturatedNodeError("every training node is adjacent to every other node")
     index = g_train.dense_index
     withheld = np.array([(index[u], index[v]) if u in index and v in index else (-1, -1)
-                         for u, v in partition.test], dtype=np.intp)
+                         for u, v in partition.test.tolist()], dtype=np.intp)
     rng = np.random.default_rng(seed)
     draws = np.empty((n, 4), dtype=np.intp)
     draws[:, :2] = withheld[rng.integers(len(withheld), size=n)]

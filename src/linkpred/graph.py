@@ -5,9 +5,9 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -26,84 +26,76 @@ class SaturatedNodeError(RuntimeError):
     """A node is adjacent to every other node, so no non-neighbor exists."""
 
 
-class Graph:
-    """Immutable undirected simple graph over integer node ids.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    Duplicate input pairs (in either orientation) collapse to a single
-    undirected edge. Nodes and edges keep first-seen order; ``dense_index``
-    maps each node id to a contiguous index in ``[0, num_nodes)`` for matrix
-    work, since real edge lists often have gaps in their id ranges.
+
+class Graph:
+    """Immutable undirected simple graph over integer node ids, stored as two arrays.
+
+    ``nodes``: the (n,) int64 node ids in first-seen order; a node's position
+    is its dense index (id ranges may have gaps). ``edges``: the (m, 2) int64
+    dense indices, one row per undirected edge in first-seen order and input
+    orientation; duplicate pairs (either orientation) collapse to the first.
+    All else is derived from the two on first read and cached. The arrays are
+    read-only, since every scorer of a trial reads the same ones.
     """
 
-    __slots__ = ("adjacency", "edge_list", "node_list", "dense_index", "_matrix", "_common",
-                 "_degrees")
-
-    def __init__(self, pairs: Iterable[Edge]):
-        adjacency: dict[int, set[int]] = {}
-        edges: list[Edge] = []
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop ({u}, {v}) not allowed in a simple graph")
-            if u not in adjacency:
-                adjacency[u] = set()
-            if v not in adjacency:
-                adjacency[v] = set()
-            if v not in adjacency[u]:
-                adjacency[u].add(v)
-                adjacency[v].add(u)
-                edges.append((u, v))
-        self.adjacency: dict[int, frozenset[int]] = {
-            u: frozenset(nbrs) for u, nbrs in adjacency.items()
-        }
-        self.edge_list: tuple[Edge, ...] = tuple(edges)
-        self.node_list: tuple[int, ...] = tuple(self.adjacency)
-        self.dense_index: dict[int, int] = {u: i for i, u in enumerate(self.node_list)}
-        self._matrix: np.ndarray | None = None
-        self._common: np.ndarray | None = None
-        self._degrees: np.ndarray | None = None
+    def __init__(self, pairs: Union[Sequence[Edge], np.ndarray]):
+        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        loops = ends[ends[:, 0] == ends[:, 1]]
+        if len(loops):
+            raise ValueError(
+                f"self-loop ({loops[0, 0]}, {loops[0, 1]}) not allowed in a simple graph")
+        ids, first, inverse = np.unique(ends.ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)  # sorted ids -> first-seen order
+        dense = np.argsort(order)[inverse].reshape(-1, 2)
+        _, keep = np.unique(dense.min(axis=1) * len(ids) + dense.max(axis=1), return_index=True)
+        self.nodes: np.ndarray = _read_only(ids[order])
+        self.edges: np.ndarray = _read_only(dense[np.sort(keep)])
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_list)
+        return len(self.nodes)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_list)
+        return len(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency.get(u, ())
+    @cached_property
+    def node_list(self) -> tuple[int, ...]:
+        """Node ids in dense-index order."""
+        return tuple(self.nodes.tolist())
 
-    @property
+    @cached_property
+    def edge_list(self) -> tuple[Edge, ...]:
+        """Edges as (u, v) node-id pairs, in the order of ``edges``."""
+        return tuple(map(tuple, self.nodes[self.edges].tolist()))
+
+    @cached_property
+    def dense_index(self) -> dict[int, int]:
+        return dict(zip(self.node_list, range(self.num_nodes)))
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        """Degree of each node by dense index (built on first use)."""
-        if self._degrees is None:
-            self._degrees = np.fromiter(map(len, self.adjacency.values()), np.int64,
-                                        self.num_nodes)
-        return self._degrees
+        """Degree of each node by dense index."""
+        return _read_only(np.bincount(self.edges.ravel(), minlength=self.num_nodes))
 
-    @property
+    @cached_property
     def adjacency_matrix(self) -> np.ndarray:
-        """(n, n) bool adjacency matrix over dense indices (built on first use):
-        entry [i, j] is True when nodes i and j are adjacent."""
-        if self._matrix is None:
-            ends = np.fromiter(
-                map(self.dense_index.__getitem__, chain.from_iterable(self.edge_list)),
-                np.intp, 2 * self.num_edges,
-            ).reshape(-1, 2)
-            dense = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
-            dense[ends[:, 0], ends[:, 1]] = True
-            dense[ends[:, 1], ends[:, 0]] = True
-            self._matrix = dense
-        return self._matrix
+        """(n, n) bool adjacency matrix over dense indices: entry [i, j] is
+        True when nodes i and j are adjacent."""
+        dense = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
+        dense[self.edges, self.edges[:, ::-1]] = True
+        return _read_only(dense)
 
-    @property
+    @cached_property
     def common_neighbor_counts(self) -> np.ndarray:
-        """(n, n) float32 matrix A @ A (built on first use; counts < 2^24 are exact):
-        entry [i, j] counts the common neighbors of i and j, [i, i] the degree of i."""
-        if self._common is None:
-            A = self.adjacency_matrix.astype(np.float32)
-            self._common = A @ A
-        return self._common
+        """(n, n) float32 matrix A @ A (counts < 2^24 are exact): entry [i, j]
+        counts the common neighbors of i and j, [i, i] the degree of i."""
+        A = self.adjacency_matrix.astype(np.float32)
+        return _read_only(A @ A)
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"
@@ -113,9 +105,10 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
     """Parse an edge-list file: one edge per line, two whitespace-separated ints.
 
     Blank lines are ignored. Self-loop lines are dropped; their count is
-    returned alongside the graph. Raises :class:`EdgeListParseError` naming
-    the offending line for malformed input, including bytes that are not
-    UTF-8 text.
+    returned alongside the graph. Node ids must lie in the signed 64-bit
+    range. Raises :class:`EdgeListParseError` naming the offending line for
+    malformed input, including bytes that are not UTF-8 text and ids out of
+    that range.
     """
     data = Path(path).read_bytes()
     try:
@@ -140,6 +133,10 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
             raise EdgeListParseError(
                 f"line {lineno}: non-integer node id in {line.strip()!r}"
             ) from None
+        for x in (u, v):
+            if not -2**63 <= x < 2**63:  # stored as int64
+                raise EdgeListParseError(
+                    f"line {lineno}: node id {x} is outside the signed 64-bit range")
         if u == v:
             dropped_self_loops += 1
             continue
@@ -149,27 +146,28 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
 
 @dataclass(frozen=True)
 class EdgePartition:
-    """A seeded train/test split of a graph's edge list."""
+    """A seeded train/test split of a graph's edges: two (k, 2) int64 arrays
+    of node ids (compare them with ``np.array_equal``)."""
 
-    train: tuple[Edge, ...]
-    test: tuple[Edge, ...]
+    train: np.ndarray
+    test: np.ndarray
 
 
 def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:
     """Uniformly random edge partition, fully determined by ``seed``.
 
-    The stored edge list is indexed by a uniform permutation from
-    ``np.random.default_rng(abs(seed))``, so a seed and its negative give the
-    same partition. The test set gets ``ceil(test_fraction * num_edges)``
-    edges; the graph's stored edge list is never reordered. Raises
+    The rows of ``g.edges`` are taken in the order of a uniform permutation
+    from ``np.random.default_rng(abs(seed))``, so a seed and its negative
+    give the same partition, and mapped to node ids. The test set gets the
+    first ``ceil(test_fraction * num_edges)`` of them. Raises
     :class:`TooFewEdgesError` for a graph with fewer than two edges.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if g.num_edges < 2:
         raise TooFewEdgesError("need at least two edges to split")
-    order = np.random.default_rng(abs(seed)).permutation(g.num_edges).tolist()
-    edges = tuple(map(g.edge_list.__getitem__, order))
+    order = np.random.default_rng(abs(seed)).permutation(g.num_edges)
+    edges = g.nodes[g.edges[order]]
     n_test = math.ceil(test_fraction * g.num_edges)
     return EdgePartition(train=edges[n_test:], test=edges[:n_test])
 

@@ -51,14 +51,13 @@ def build_training_set(
             f"graph too dense: {available} distinct non-edges available, need {wanted}"
         )
     rng = random.Random(seed)
-    nodes = g_train.node_list
-    index = g_train.dense_index
-    pairs = [(index[u], index[v]) for u, v in g_train.edge_list]
+    A = g_train.adjacency_matrix
+    pairs = g_train.edges.tolist()
     seen: set[tuple[int, int]] = set()
     while len(pairs) < 2 * wanted:
         i, j = rng.randrange(n_nodes), rng.randrange(n_nodes)
         key = (min(i, j), max(i, j))
-        if i != j and key not in seen and not g_train.has_edge(nodes[i], nodes[j]):
+        if i != j and key not in seen and not A[i, j]:
             seen.add(key)
             pairs.append((i, j))
     rows, cols = np.array(pairs).T

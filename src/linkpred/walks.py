@@ -58,8 +58,12 @@ def _check_p_q(p: float, q: float) -> None:
 
 
 def sorted_neighbors(g: Graph) -> Neighbors:
-    """Every node's neighbors as an ascending tuple."""
-    return {x: tuple(sorted(nbrs)) for x, nbrs in g.adjacency.items()}
+    """Every node's neighbors as an ascending tuple, keyed in node-list order."""
+    nbrs: dict[int, list[int]] = {x: [] for x in g.node_list}
+    for u, v in g.edge_list:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return {x: tuple(sorted(row)) for x, row in nbrs.items()}
 
 
 def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
@@ -97,10 +101,12 @@ def build_alias_table(g: Graph, p: float, q: float) -> AliasTable:
     otherwise, normalized.
     """
     _check_p_q(p, q)
+    nbrs = sorted_neighbors(g)
+    members = {x: set(row) for x, row in nbrs.items()}
     table: AliasTable = {}
-    for curr, row in sorted_neighbors(g).items():
+    for curr, row in nbrs.items():
         for prev in row:
-            prev_nbrs = g.adjacency[prev]
+            prev_nbrs = members[prev]
             weights = [
                 1.0 / p if w == prev else 1.0 if w in prev_nbrs else 1.0 / q
                 for w in row

@@ -39,6 +39,16 @@ def edge_lists(draw, max_nodes=12, max_edges=30):
     return pairs
 
 
+def neighbor_sets(g: Graph) -> dict[int, set[int]]:
+    """Each node id's neighbor ids, read from ``g.edge_list`` alone, so that it
+    is an oracle independent of the graph's matrices."""
+    nbrs: dict[int, set[int]] = {u: set() for u in g.node_list}
+    for u, v in g.edge_list:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
 @st.composite
 def graphs(draw, max_nodes=12, max_edges=30):
     return Graph(draw(edge_lists(max_nodes=max_nodes, max_edges=max_edges)))

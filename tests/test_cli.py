@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import linkpred
@@ -30,7 +31,7 @@ def test_wheel_graph_runs(tmp_path):
 def test_complete_training_graph_is_a_data_error(tmp_path, capsys):
     # With --seed 2 the one test edge is (3, 4), leaving a triangle to train on.
     pairs = [(0, 1), (0, 2), (1, 2), (3, 4)]
-    assert split_edges(Graph(pairs), 0.1, 2).test == ((3, 4),)
+    assert np.array_equal(split_edges(Graph(pairs), 0.1, 2).test, [(3, 4)])
     edges = _write(tmp_path / "tri.txt", pairs)
     code = main(["auc", edges, "--method", "cn", "--trials", "1", "--seed", "2",
                  "--out", str(tmp_path / "tri")])
@@ -312,3 +313,12 @@ def test_stats_non_utf8_is_a_parse_error(tmp_path):
     run = _stats(path)
     assert run.returncode == EXIT_DATA
     assert run.stderr == "error: line 3: not UTF-8 text\n"
+
+
+def test_stats_out_of_range_id_is_a_parse_error(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("0 9223372036854775808\n", encoding="utf-8")
+    run = _stats(path)
+    assert run.returncode == EXIT_DATA
+    assert run.stderr == ("error: line 1: node id 9223372036854775808 is outside "
+                          "the signed 64-bit range\n")

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import neighbor_sets
 from linkpred import datasets, evaluate
 from linkpred.evaluate import (
     AucTally,
@@ -14,6 +15,7 @@ from linkpred.evaluate import (
     estimate_auc,
     paired_difference,
     run_experiment,
+    summarize,
     write_records_csv,
 )
 from linkpred.graph import EdgePartition, Graph, SaturatedNodeError, split_edges
@@ -210,6 +212,33 @@ def _record(seed, level, auc):
     return record
 
 
+class TestSummarize:
+    def test_mean_std_stderr_and_ci(self):
+        result = ExperimentResult((_record(0, "a", 0.6), _record(1, "a", 0.7),
+                                   _record(2, "a", 1.0), _record(0, "b", 0.5),
+                                   _record(1, "b", 0.5)))
+        summaries = summarize(result)
+        assert list(summaries) == ["a", "b"]
+        a = summaries["a"]
+        # mean 2.3 / 3; std sqrt(0.26 / 3 / 2) with n - 1 = 2; stderr std / sqrt(3)
+        assert a.level == "a"
+        assert a.mean == pytest.approx(0.7666666666666667, rel=1e-12)
+        assert a.std == pytest.approx(0.2081665999466133, rel=1e-12)
+        assert a.stderr == pytest.approx(0.1201850425154663, rel=1e-12)
+        assert a.ci_low == pytest.approx(0.7666666666666667 - 1.96 * 0.1201850425154663,
+                                         rel=1e-12)
+        assert a.ci_high == pytest.approx(0.7666666666666667 + 1.96 * 0.1201850425154663,
+                                          rel=1e-12)
+        b = summaries["b"]
+        assert (b.mean, b.std, b.stderr, b.ci_low, b.ci_high) == (0.5, 0.0, 0.0, 0.5, 0.5)
+
+    def test_one_trial_level_raises(self):
+        result = ExperimentResult((_record(0, "a", 0.6), _record(1, "a", 0.7),
+                                   _record(0, "b", 0.5)))
+        with pytest.raises(ValueError, match="'b' has 1 trial"):
+            summarize(result)
+
+
 class TestPairedDifference:
     def test_mean_and_stderr(self):
         # a - b per trial: 0.1, 0.3, 0.2 -> mean 0.2, std 0.1, stderr 0.1 / sqrt(3)
@@ -240,29 +269,38 @@ def _reference_draws(partition, g_train, n, seed):
     """The per-draw Python loop that draw_comparisons replaced: the same law
     from ``random.Random``, one withheld edge, start and non-neighbor at a time."""
     full_degree = g_train.num_nodes - 1
-    starts = [u for u in g_train.node_list if len(g_train.adjacency[u]) < full_degree]
+    adjacency = neighbor_sets(g_train)
+    starts = [u for u in g_train.node_list if len(adjacency[u]) < full_degree]
     index = g_train.dense_index
+    test = partition.test.tolist()
     rng = random.Random(seed)
     draws = []
     for _ in range(n):
-        u, v = rng.choice(partition.test)
+        u, v = rng.choice(test)
         withheld = (index[u], index[v]) if u in index and v in index else (-1, -1)
         a = rng.choice(starts)
         while True:
             b = rng.choice(g_train.node_list)
-            if b != a and b not in g_train.adjacency[a]:
+            if b != a and b not in adjacency[a]:
                 break
         draws.append((*withheld, index[a], index[b]))
     return np.array(draws, dtype=np.intp)
+
+
+def _partition(train, test):
+    """An EdgePartition of two (k, 2) node-id arrays from pair sequences."""
+    return EdgePartition(train=np.array(train, dtype=np.int64).reshape(-1, 2),
+                         test=np.array(test, dtype=np.int64).reshape(-1, 2))
 
 
 def test_draw_law():
     # Hub 0 is saturated and never starts a pair; 1..6 have degrees 2, 3, 2, 2, 2, 1
     # in a 7-node graph, and test edge (2, 9) has an endpoint outside it.
     train = tuple((0, i) for i in range(1, 7)) + ((1, 2), (2, 3), (4, 5))
-    partition = EdgePartition(train=train, test=((1, 3), (3, 4), (2, 9)))
+    partition = _partition(train, ((1, 3), (3, 4), (2, 9)))
     g_train = Graph(partition.train)
     index, nodes = g_train.dense_index, g_train.node_list
+    adjacency = neighbor_sets(g_train)
     draws = draw_comparisons(partition, g_train, 200_000, seed=11)
     assert draws.shape == (200_000, 4) and draws.dtype == np.intp
     total = len(draws)
@@ -276,10 +314,10 @@ def test_draw_law():
         withheld[tuple(row.tolist())] = count
     assert all(within_4_sigma(count, 1 / 3) for count in withheld.values())
 
-    starts = [a for a in nodes if len(g_train.adjacency[a]) < len(nodes) - 1]
+    starts = [a for a in nodes if len(adjacency[a]) < len(nodes) - 1]
     assert len(starts) == 6
-    expected = {(index[a], index[b]): 1 / len(starts) / (len(nodes) - 1 - len(g_train.adjacency[a]))
-                for a in starts for b in nodes if b != a and not g_train.has_edge(a, b)}
+    expected = {(index[a], index[b]): 1 / len(starts) / (len(nodes) - 1 - len(adjacency[a]))
+                for a in starts for b in nodes if b != a and b not in adjacency[a]}
     pairs, counts = np.unique(draws[:, 2:], axis=0, return_counts=True)
     assert {tuple(p) for p in pairs.tolist()} == set(expected)
     for pair, count in zip(pairs.tolist(), counts.tolist()):
@@ -327,24 +365,24 @@ class TestDrawComparisons:
         draws = draw_comparisons(partition, g_train, 300, seed=9)
         assert np.array_equal(draws, draw_comparisons(partition, g_train, 300, seed=9))
         assert len(draws) == 300
-        nodes = g_train.node_list
+        nodes, adjacency = g_train.node_list, neighbor_sets(g_train)
+        test = set(map(tuple, partition.test.tolist()))
         for u, v, a, b in draws.tolist():
-            assert (nodes[u], nodes[v]) in partition.test
-            assert a != b and not g_train.has_edge(nodes[a], nodes[b])
+            assert (nodes[u], nodes[v]) in test
+            assert a != b and nodes[b] not in adjacency[nodes[a]]
 
     def test_saturated_hub_is_skipped(self):
         # Withholding a rim edge leaves hub 0 adjacent to every other node.
         g = _wheel(12)
         rim = g.edge_list.index((1, 2))
-        partition = EdgePartition(train=g.edge_list[:rim] + g.edge_list[rim + 1:],
-                                  test=((1, 2),))
+        partition = _partition(g.edge_list[:rim] + g.edge_list[rim + 1:], ((1, 2),))
         g_train = Graph(partition.train)
-        assert len(g_train.adjacency[0]) == g_train.num_nodes - 1
+        assert len(neighbor_sets(g_train)[0]) == g_train.num_nodes - 1
         draws = draw_comparisons(partition, g_train, 500, seed=3)
         assert g_train.dense_index[0] not in draws[:, 2:]
 
     def test_complete_training_graph_raises(self):
-        partition = EdgePartition(train=((0, 1), (0, 2), (1, 2)), test=((2, 3),))
+        partition = _partition(((0, 1), (0, 2), (1, 2)), ((2, 3),))
         with pytest.raises(SaturatedNodeError):
             draw_comparisons(partition, Graph(partition.train), 10, seed=0)
 
@@ -354,6 +392,6 @@ class TestDrawComparisons:
         (10, ((0, 1),), ()),
     ])
     def test_rejects_empty_inputs(self, n, test, train):
-        partition = EdgePartition(train=train, test=test)
+        partition = _partition(train, test)
         with pytest.raises(ValueError):
-            draw_comparisons(partition, Graph(train), n, seed=0)
+            draw_comparisons(partition, Graph(partition.train), n, seed=0)

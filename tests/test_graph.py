@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import G1_EDGES, edge_lists
+from conftest import G1_EDGES, edge_lists, neighbor_sets
 from linkpred.graph import (
     EdgeListParseError,
     Graph,
@@ -13,6 +14,7 @@ from linkpred.graph import (
     sample_non_neighbor,
     split_edges,
 )
+from linkpred.rwr import build_rwr, build_transition
 
 
 def _edge_file(tmp_path, text):
@@ -77,6 +79,20 @@ class TestLoadEdgeList:
         assert g.num_nodes == 3
         assert g.dense_index == {10: 0, 20: 1, 30: 2}
 
+    @pytest.mark.parametrize("text, node", [
+        ("0 9223372036854775808", "9223372036854775808"),
+        ("-9223372036854775809 1", "-9223372036854775809"),
+    ])
+    def test_out_of_range_id_names_line(self, tmp_path, text, node):
+        with pytest.raises(EdgeListParseError,
+                           match=f"^line 2: node id {node} is outside the signed 64-bit range$"):
+            load_edge_list(_edge_file(tmp_path, f"3 4\n{text}\n"))
+
+    def test_extreme_ids_are_kept_exactly(self, tmp_path):
+        g, _ = load_edge_list(_edge_file(tmp_path, "9223372036854775807 -9223372036854775808"))
+        assert g.node_list == (2**63 - 1, -2**63)
+        assert g.edge_list == ((2**63 - 1, -2**63),)
+
 
 class TestGraphQueries:
     def test_degree_triangle(self):
@@ -102,8 +118,9 @@ class TestGraphQueries:
         assert np.diagonal(g1.common_neighbor_counts).tolist() == g1.degrees.tolist()
 
     def test_self_loop_rejected(self):
-        with pytest.raises(ValueError, match="self-loop"):
-            Graph([(1, 1)])
+        for pairs in ([(1, 1)], [(0, 1), (2, 2)], np.array([[0, 1], [3, 3]])):
+            with pytest.raises(ValueError, match="self-loop"):
+                Graph(pairs)
 
     def test_edge_order_is_first_seen(self):
         g = Graph([(3, 1), (1, 0), (0, 3)])
@@ -119,22 +136,25 @@ class TestSplitEdges:
         assert len(part.train) == 153
 
     def test_deterministic(self, g1):
-        assert split_edges(g1, 0.25, seed=9) == split_edges(g1, 0.25, seed=9)
+        assert _same_split(split_edges(g1, 0.25, seed=9), split_edges(g1, 0.25, seed=9))
 
     def test_negative_seed_gives_the_positive_seeds_split(self, g1):
         for seed in range(1, 20):
-            assert split_edges(g1, 0.4, -seed) == split_edges(g1, 0.4, seed)
+            assert _same_split(split_edges(g1, 0.4, -seed), split_edges(g1, 0.4, seed))
 
     def test_different_seeds_differ(self):
         g = Graph([(0, i) for i in range(1, 171)])
-        assert split_edges(g, 0.1, seed=1) != split_edges(g, 0.1, seed=2)
+        assert not _same_split(split_edges(g, 0.1, seed=1), split_edges(g, 0.1, seed=2))
 
     def test_union_restores_edge_set(self, g1):
         original = set(g1.edge_list)
         for seed in range(1000):
             part = split_edges(g1, 0.4, seed)
-            assert set(part.train) | set(part.test) == original
-            assert set(part.train) & set(part.test) == set()
+            assert part.train.dtype == part.test.dtype == np.int64
+            train = set(map(tuple, part.train.tolist()))
+            test = set(map(tuple, part.test.tolist()))
+            assert train | test == original
+            assert train & test == set()
 
     def test_does_not_mutate_graph(self, g1):
         before = g1.edge_list
@@ -145,6 +165,10 @@ class TestSplitEdges:
     def test_fraction_out_of_range(self, g1, fraction):
         with pytest.raises(ValueError):
             split_edges(g1, fraction, seed=0)
+
+
+def _same_split(a, b):
+    return np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
 
 
 class TestSampleNonNeighbor:
@@ -195,20 +219,87 @@ def _random_graph(seed, rng):
     return Graph(pairs) if pairs else Graph([(0, 1)])
 
 
+def _reference_graph(pairs):
+    """The per-edge canonicalizer that Graph replaced: a dict of neighbor sets
+    filled pair by pair. Returns (node_list, edge_list, adjacency)."""
+    adjacency: dict[int, set[int]] = {}
+    edges = []
+    for u, v in pairs:
+        if u == v:
+            raise ValueError(f"self-loop ({u}, {v}) not allowed in a simple graph")
+        adjacency.setdefault(u, set())
+        adjacency.setdefault(v, set())
+        if v not in adjacency[u]:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+            edges.append((u, v))
+    return tuple(adjacency), tuple(edges), adjacency
+
+
+# Edge lists over a few ids drawn from the whole int64 range, so that
+# duplicates, reversed duplicates and negative ids are all common.
+wide_edge_lists = st.lists(st.integers(-2**63, 2**63 - 1), min_size=2, max_size=8,
+                           unique=True).flatmap(
+    lambda ids: st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+                         .filter(lambda e: e[0] != e[1]), max_size=30))
+
+
+class TestReferenceCanonicalizer:
+    @given(st.one_of(edge_lists(), wide_edge_lists))
+    def test_matches_the_per_edge_loop(self, pairs):
+        pairs = pairs + [(v, u) for u, v in pairs[::3]]  # reversed duplicates
+        node_list, edge_list, adjacency = _reference_graph(pairs)
+        g = Graph(pairs)
+        assert g.node_list == node_list
+        assert g.edge_list == edge_list
+        assert g.degrees.tolist() == [len(adjacency[u]) for u in node_list]
+        expected = [[v in adjacency[u] for v in node_list] for u in node_list]
+        assert g.adjacency_matrix.tolist() == expected
+        assert g.nodes.dtype == g.edges.dtype == np.int64
+        assert g.edges.shape == (len(edge_list), 2)
+        h = Graph(np.array(pairs, dtype=np.int64).reshape(-1, 2))  # array input
+        assert np.array_equal(g.nodes, h.nodes) and np.array_equal(g.edges, h.edges)
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("name", ["nodes", "edges", "degrees", "adjacency_matrix",
+                                      "common_neighbor_counts"])
+    def test_in_place_write_raises(self, g1, name):
+        array = getattr(g1, name)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+        assert np.array_equal(getattr(g1, name), before)
+        assert getattr(g1, name) is array  # cached: every reader shares it
+
+    def test_transition_and_rwr_allocate_their_own(self, g1):
+        degrees = g1.degrees.copy()
+        matrix = g1.adjacency_matrix.copy()
+        P = build_transition(g1)
+        M = build_rwr(g1, 0.5)
+        assert P.flags.writeable and M.flags.writeable
+        assert np.array_equal(g1.degrees, degrees)
+        assert np.array_equal(g1.adjacency_matrix, matrix)
+
+
 class TestInvariants:
     @given(edge_lists())
     def test_construction_invariants(self, pairs):
         g = Graph(pairs)
-        assert sum(map(len, g.adjacency.values())) == 2 * g.num_edges
-        assert set(g.node_list) == set(g.adjacency)
+        adjacency = neighbor_sets(g)
+        assert sum(map(len, adjacency.values())) == 2 * g.num_edges
+        assert set(g.node_list) == {x for pair in pairs for x in pair}
+        assert len(set(g.node_list)) == g.num_nodes
         assert sorted(g.dense_index.values()) == list(range(g.num_nodes))
-        for u, v in g.edge_list:
-            assert v in g.adjacency[u]
-            assert u in g.adjacency[v]
+        assert {frozenset(e) for e in g.edge_list} == {frozenset(p) for p in pairs}
+        assert g.degrees.tolist() == [len(adjacency[u]) for u in g.node_list]
 
     @given(edge_lists())
-    def test_adjacency_matrix_matches_has_edge(self, pairs):
+    def test_adjacency_matrix_matches_neighbor_sets(self, pairs):
         g = Graph(pairs)
+        adjacency = neighbor_sets(g)
         A = g.adjacency_matrix
         assert A.dtype == bool
         assert A.shape == (g.num_nodes, g.num_nodes)
@@ -216,16 +307,17 @@ class TestInvariants:
         assert not np.diagonal(A).any()
         for u in g.node_list:
             for v in g.node_list:
-                assert A[g.dense_index[u], g.dense_index[v]] == g.has_edge(u, v)
+                assert A[g.dense_index[u], g.dense_index[v]] == (v in adjacency[u])
 
     @given(edge_lists())
     def test_shared_neighbors_symmetric(self, pairs):
         g = Graph(pairs)
+        adjacency = neighbor_sets(g)
         counts = g.common_neighbor_counts
         assert np.array_equal(counts, counts.T)
         for u in g.node_list:
             for v in g.node_list:
-                shared = g.adjacency[u] & g.adjacency[v]
+                shared = adjacency[u] & adjacency[v]
                 assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)
 
     @given(edge_lists())

@@ -1,10 +1,11 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import edge_lists, random_connected_graph
+from conftest import edge_lists, neighbor_sets, random_connected_graph
 from linkpred import evaluate
 from linkpred.evaluate import run_experiment
 from linkpred.graph import Graph
@@ -104,7 +105,7 @@ def _naive_scores(adjacency, u, v):
 @given(edge_lists())
 def test_brute_force_oracle(pairs):
     g = Graph(pairs)
-    adjacency = {u: set(g.adjacency[u]) for u in g.node_list}
+    adjacency = neighbor_sets(g)
     ordered, rows, cols = _ordered_pairs(g)
     naive = [_naive_scores(adjacency, u, v) for u, v in ordered]
     for name, index in LOCAL_INDICES.items():
@@ -137,8 +138,8 @@ def test_hub_depressed_never_exceeds_hub_promoted(pairs):
 def test_zero_shared_neighbors_means_zero_score(pairs):
     g = Graph(pairs)
     ordered, rows, cols = _ordered_pairs(g)
-    none_shared = np.array([not g.adjacency[u] & g.adjacency[v] for u, v in ordered],
-                           dtype=bool)
+    adjacency = neighbor_sets(g)
+    none_shared = np.array([not adjacency[u] & adjacency[v] for u, v in ordered], dtype=bool)
     for index in LOCAL_INDICES.values():
         assert np.all(index(g, rows, cols)[none_shared] == 0.0)
 
@@ -176,13 +177,10 @@ def test_one_common_neighbor_product_per_training_graph(monkeypatch):
     builds = []
 
     class CountingGraph(Graph):
-        __slots__ = ()
-
-        @property
+        @cached_property
         def common_neighbor_counts(self):
-            if self._common is None:
-                builds.append(self)
-            return Graph.common_neighbor_counts.fget(self)
+            builds.append(self)
+            return Graph.common_neighbor_counts.func(self)
 
     monkeypatch.setattr(evaluate, "Graph", CountingGraph)
     levels = [local_index_factory(kind) for kind in LOCAL_INDICES]

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import neighbor_sets
 from linkpred import datasets
 from linkpred.graph import Graph, split_edges
 from linkpred.predictor import (
@@ -82,11 +83,12 @@ class TestBuildTrainingSet:
         # The negatives drawn as node ids by rng.choice and keyed by frozenset,
         # then mapped to dense indices: the draw that build_training_set must match.
         rng = random.Random(seed)
+        adjacency = neighbor_sets(g)
         seen, negatives = set(), []
         while len(negatives) < g.num_edges:
             u = rng.choice(g.node_list)
             v = rng.choice(g.node_list)
-            if u == v or g.has_edge(u, v) or frozenset((u, v)) in seen:
+            if u == v or v in adjacency[u] or frozenset((u, v)) in seen:
                 continue
             seen.add(frozenset((u, v)))
             negatives.append((u, v))

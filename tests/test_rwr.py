@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_connected_graph, random_simple_graph
+from conftest import neighbor_sets, random_connected_graph, random_simple_graph
 from linkpred import rwr
 from linkpred.graph import Graph
 from linkpred.pipelines import rwr_factory
@@ -47,9 +47,9 @@ class TestTransition:
 def _loop_transition(g):
     """Entry-by-entry oracle: P[i, j] = 1/k_i for each edge (i, j)."""
     P = np.zeros((g.num_nodes, g.num_nodes))
-    for u in g.node_list:
-        w = 1.0 / len(g.adjacency[u])
-        for v in g.adjacency[u]:
+    for u, nbrs in neighbor_sets(g).items():
+        w = 1.0 / len(nbrs)
+        for v in nbrs:
             P[g.dense_index[u], g.dense_index[v]] = w
     return P
 
