@@ -108,15 +108,15 @@ def draw_comparisons(
 ) -> np.ndarray:
     """n (withheld edge, sampled non-edge) draws for :func:`estimate_auc`.
 
-    Returns an (n, 4) int array of ``g_train.dense_index`` positions with
+    Returns an (n, 4) int array of the training graph's dense indices with
     columns (withheld u, withheld v, non-edge a, non-edge b). The withheld
-    edge is a uniform test edge; its columns hold -1, -1 when an endpoint
-    is absent from the training graph (it then scores 0). The nonexistent pair
-    is a uniform training node that has a non-neighbor plus a uniform
-    non-neighbor of it (not uniform over all non-edges; it leans toward
-    pairs incident to sparse neighborhoods). All three columns are drawn in
-    batch from one ``np.random.Generator`` seeded with ``seed`` (a
-    non-negative int); the non-neighbors come from one
+    edge is a uniform test edge, found in the sorted node ids of the training
+    graph, or -1, -1 when an endpoint is absent from it (it then scores 0).
+    The nonexistent pair is a uniform training node that has a non-neighbor
+    plus a uniform non-neighbor of it (not uniform over all non-edges; it
+    leans toward pairs incident to sparse neighborhoods). All three columns
+    are drawn in batch from one ``np.random.Generator`` seeded with ``seed``
+    (a non-negative int); the non-neighbors come from one
     :func:`~linkpred.graph.sample_non_neighbor` call. Raises
     :class:`TooFewEdgesError` when the training graph has no edge and
     :class:`SaturatedNodeError` when every training node is adjacent to
@@ -131,9 +131,10 @@ def draw_comparisons(
     starts = np.flatnonzero(g_train.degrees < g_train.num_nodes - 1)
     if not starts.size:
         raise SaturatedNodeError("every training node is adjacent to every other node")
-    index = g_train.dense_index
-    withheld = np.array([(index[u], index[v]) if u in index and v in index else (-1, -1)
-                         for u, v in partition.test.tolist()], dtype=np.intp)
+    by_id = np.argsort(g_train.nodes)
+    ids = g_train.nodes[by_id]
+    at = np.searchsorted(ids, partition.test).clip(max=len(ids) - 1)
+    withheld = np.where((ids[at] == partition.test).all(axis=1, keepdims=True), by_id[at], -1)
     rng = np.random.default_rng(seed)
     draws = np.empty((n, 4), dtype=np.intp)
     draws[:, :2] = withheld[rng.integers(len(withheld), size=n)]

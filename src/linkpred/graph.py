@@ -31,6 +31,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rank[i]``: the rank of ``values[i]`` among the distinct values, in
+    ascending order; ``first[r]``: the first position of the value of rank r."""
+    order = np.argsort(values)  # not stable: ``first`` takes the minimum position
+    ascending = values[order]
+    new = np.ones(len(values), dtype=bool)
+    new[1:] = ascending[1:] != ascending[:-1]
+    rank = np.empty_like(order)
+    rank[order] = np.cumsum(new) - 1
+    first = np.full(np.count_nonzero(new), len(values))
+    np.minimum.at(first, rank, np.arange(len(values)))
+    return rank, first
+
+
 class Graph:
     """Immutable undirected simple graph over integer node ids, stored as two arrays.
 
@@ -38,8 +52,8 @@ class Graph:
     is its dense index (id ranges may have gaps). ``edges``: the (m, 2) int64
     dense indices, one row per undirected edge in first-seen order and input
     orientation; duplicate pairs (either orientation) collapse to the first.
-    All else is derived from the two on first read and cached. The arrays are
-    read-only, since every scorer of a trial reads the same ones.
+    Each takes one sort (:func:`_groups`), of the ids or the pair keys. All else
+    is derived on first read and cached; all is read-only, as every scorer reads it.
     """
 
     def __init__(self, pairs: Union[Sequence[Edge], np.ndarray]):
@@ -48,11 +62,11 @@ class Graph:
         if len(loops):
             raise ValueError(
                 f"self-loop ({loops[0, 0]}, {loops[0, 1]}) not allowed in a simple graph")
-        ids, first, inverse = np.unique(ends.ravel(), return_index=True, return_inverse=True)
-        order = np.argsort(first)  # sorted ids -> first-seen order
-        dense = np.argsort(order)[inverse].reshape(-1, 2)
-        _, keep = np.unique(dense.min(axis=1) * len(ids) + dense.max(axis=1), return_index=True)
-        self.nodes: np.ndarray = _read_only(ids[order])
+        rank, first = _groups(ends.ravel())
+        order = np.argsort(first)  # ranks in first-seen order
+        dense = np.argsort(order)[rank].reshape(-1, 2)
+        _, keep = _groups(np.minimum(*dense.T) * len(first) + np.maximum(*dense.T))
+        self.nodes: np.ndarray = _read_only(ends.ravel()[first[order]])
         self.edges: np.ndarray = _read_only(dense[np.sort(keep)])
 
     @property
@@ -92,10 +106,10 @@ class Graph:
 
     @cached_property
     def common_neighbor_counts(self) -> np.ndarray:
-        """(n, n) float32 matrix A @ A (counts < 2^24 are exact): entry [i, j]
-        counts the common neighbors of i and j, [i, i] the degree of i."""
+        """(n, n) float32 A @ A.T (= A @ A): [i, j] counts the common neighbors of
+        i and j, [i, i] is the degree of i. Counts < 2^24 are exact in any sum order."""
         A = self.adjacency_matrix.astype(np.float32)
-        return _read_only(A @ A)
+        return _read_only(A @ A.T)
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"
@@ -144,13 +158,18 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
     return Graph(pairs), dropped_self_loops
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgePartition:
     """A seeded train/test split of a graph's edges: two (k, 2) int64 arrays
-    of node ids (compare them with ``np.array_equal``)."""
+    of node ids. Partitions with equal arrays are equal; none is hashable."""
 
     train: np.ndarray
     test: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EdgePartition):
+            return NotImplemented
+        return np.array_equal(self.train, other.train) and np.array_equal(self.test, other.test)
 
 
 def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:

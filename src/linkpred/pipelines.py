@@ -12,10 +12,10 @@ from .evaluate import PairsFn, Scorer, ScorerFactory, ScoreFn, derive_seed
 
 
 def _one_pair(g_train, pairs: PairsFn) -> ScoreFn:
-    """Per-pair form of a batch scorer: ``pairs`` applied to one pair of node ids."""
-    index = g_train.dense_index
+    """Per-pair form of a batch scorer; reads ``dense_index`` per call, not per build."""
 
     def score(g, u, v):
+        index = g_train.dense_index
         return float(pairs(np.array([index[u]]), np.array([index[v]]))[0])
 
     return score

@@ -293,6 +293,38 @@ def _partition(train, test):
                          test=np.array(test, dtype=np.int64).reshape(-1, 2))
 
 
+def _check_withheld_lookup(partition, g_train, n, seed):
+    """The withheld columns of the draws are the test edges mapped through
+    ``dense_index``, -1, -1 when an endpoint is absent, picked by the
+    Generator's first call."""
+    index = g_train.dense_index
+    expected = np.array([(index[u], index[v]) if u in index and v in index else (-1, -1)
+                         for u, v in partition.test.tolist()], dtype=np.intp)
+    picks = np.random.default_rng(seed).integers(len(expected), size=n)
+    draws = draw_comparisons(partition, g_train, n, seed)
+    assert np.array_equal(draws[:, :2], expected[picks])
+    return draws
+
+
+@pytest.mark.parametrize("name", ["usair_like", "florida_like"])
+def test_withheld_lookup_matches_the_id_dict(name):
+    g = getattr(datasets, name)(1)
+    for p in range(20):
+        partition = split_edges(g, 0.1, p)
+        _check_withheld_lookup(partition, Graph(partition.train), 1000,
+                               evaluate.derive_seed(p, "auc"))
+
+
+def test_absent_endpoints_anywhere_in_the_id_order_map_to_minus_one():
+    partition = _partition(((10, 20), (20, 30), (30, 40), (-5, 10)),
+                           ((-6, 10), (20, 25), (40, 41), (-2**63, 2**63 - 1), (10, 30), (40, -5)))
+    g_train = Graph(partition.train)
+    draws = _check_withheld_lookup(partition, g_train, 500, seed=4)
+    index = g_train.dense_index
+    rows = set(map(tuple, draws[:, :2].tolist()))
+    assert rows == {(-1, -1), (index[10], index[30]), (index[40], index[-5])}
+
+
 def test_draw_law():
     # Hub 0 is saturated and never starts a pair; 1..6 have degrees 2, 3, 2, 2, 2, 1
     # in a 7-node graph, and test edge (2, 9) has an endpoint outside it.

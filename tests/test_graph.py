@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import G1_EDGES, edge_lists, neighbor_sets
+from linkpred import datasets
 from linkpred.graph import (
     EdgeListParseError,
+    EdgePartition,
     Graph,
     SaturatedNodeError,
     load_edge_list,
@@ -136,15 +138,25 @@ class TestSplitEdges:
         assert len(part.train) == 153
 
     def test_deterministic(self, g1):
-        assert _same_split(split_edges(g1, 0.25, seed=9), split_edges(g1, 0.25, seed=9))
+        assert split_edges(g1, 0.25, seed=9) == split_edges(g1, 0.25, seed=9)
 
     def test_negative_seed_gives_the_positive_seeds_split(self, g1):
         for seed in range(1, 20):
-            assert _same_split(split_edges(g1, 0.4, -seed), split_edges(g1, 0.4, seed))
+            assert split_edges(g1, 0.4, -seed) == split_edges(g1, 0.4, seed)
 
     def test_different_seeds_differ(self):
         g = Graph([(0, i) for i in range(1, 171)])
-        assert not _same_split(split_edges(g, 0.1, seed=1), split_edges(g, 0.1, seed=2))
+        assert split_edges(g, 0.1, seed=1) != split_edges(g, 0.1, seed=2)
+
+    def test_equality_compares_both_arrays(self, g1):
+        a, b = split_edges(g1, 0.4, 3), split_edges(g1, 0.4, 3)
+        swapped = EdgePartition(train=a.test, test=a.train)
+        assert (a == b) is True and (a != b) is False
+        assert (a == swapped) is False and (a != swapped) is True
+        assert (a == split_edges(g1, 0.4, 4)) is False
+        assert a != (a.train, a.test)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
 
     def test_union_restores_edge_set(self, g1):
         original = set(g1.edge_list)
@@ -165,10 +177,6 @@ class TestSplitEdges:
     def test_fraction_out_of_range(self, g1, fraction):
         with pytest.raises(ValueError):
             split_edges(g1, fraction, seed=0)
-
-
-def _same_split(a, b):
-    return np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
 
 
 class TestSampleNonNeighbor:
@@ -260,6 +268,24 @@ class TestReferenceCanonicalizer:
         h = Graph(np.array(pairs, dtype=np.int64).reshape(-1, 2))  # array input
         assert np.array_equal(g.nodes, h.nodes) and np.array_equal(g.edges, h.edges)
 
+    @pytest.mark.parametrize("pairs, node_list, edge_list", [
+        ([], (), ()),
+        ([(7, 3)], (7, 3), ((7, 3),)),
+        # (1, 2) and (2, 1) repeat the edge first seen as (2, 1)
+        ([(0, 9), (2, 1), (1, 2), (2, 1), (0, 2), (1, 2)], (0, 9, 2, 1),
+         ((0, 9), (2, 1), (0, 2))),
+        ([(5, 2**63 - 1), (-2**63, 5), (2**63 - 1, -2**63), (0, -2**63), (-2**63, 2**63 - 1)],
+         (5, 2**63 - 1, -2**63, 0), ((5, 2**63 - 1), (-2**63, 5), (2**63 - 1, -2**63),
+                                     (0, -2**63))),
+    ], ids=["empty", "one_edge", "reversed_duplicates", "extreme_ids"])
+    def test_edge_cases(self, pairs, node_list, edge_list):
+        g = Graph(pairs)
+        assert (g.node_list, g.edge_list) == (node_list, edge_list) == _reference_graph(pairs)[:2]
+        assert g.nodes.dtype == g.edges.dtype == np.int64
+        assert g.edges.shape == (len(edge_list), 2)
+        assert g.adjacency_matrix.shape == g.common_neighbor_counts.shape == (len(node_list),) * 2
+        assert g.degrees.sum() == 2 * len(edge_list)
+
 
 class TestReadOnly:
     @pytest.mark.parametrize("name", ["nodes", "edges", "degrees", "adjacency_matrix",
@@ -314,11 +340,19 @@ class TestInvariants:
         g = Graph(pairs)
         adjacency = neighbor_sets(g)
         counts = g.common_neighbor_counts
-        assert np.array_equal(counts, counts.T)
+        A = g.adjacency_matrix.astype(np.float32)
+        assert counts.dtype == np.float32
+        assert np.array_equal(counts, counts.T) and np.array_equal(counts, A @ A)
         for u in g.node_list:
             for v in g.node_list:
                 shared = adjacency[u] & adjacency[v]
                 assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)
+
+    @pytest.mark.parametrize("name", ["usair_like", "florida_like", "chesapeake_like"])
+    def test_common_neighbor_counts_equal_the_full_product(self, name):
+        g = Graph(split_edges(getattr(datasets, name)(1), 0.1, 0).train)
+        A = g.adjacency_matrix.astype(np.float32)
+        assert np.array_equal(g.common_neighbor_counts, A @ A)
 
     @given(edge_lists())
     def test_common_neighbor_degree_at_least_two(self, pairs):
