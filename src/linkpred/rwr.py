@@ -12,11 +12,13 @@ P^T = D^1/2 N D^-1/2 with N = D^-1/2 A D^-1/2 symmetric, so
 
 N has its eigenvalues in [-1, 1] and c < 1, so B = I - c N is symmetric
 positive definite. It is inverted by 2x2 block (Schur-complement) steps of
-matrix products, at n = 332 cheaper than an LU solve of I - c P^T or, per
-level, an eigh of N shared by a c sweep; so no call keeps anything. Entries
-between two components are exactly 0: every product reaching them multiplies
-a structural zero. N and the inverse are formed in place, since a second
-n x n buffer is page-faulted in on every call at about the products' cost.
+matrix products, at n = 332 cheaper than an LU solve of I - c P^T; an eigh of
+N that a c sweep could share takes ~14-18 ms, against ~2.5-4 ms for one
+inverse (one BLAS thread), so no call keeps anything. Entries between two
+components are exactly 0: every product reaching them multiplies a structural
+zero. N is written over P on its 2m edge entries only, and the inverse in
+place, since a second n x n buffer is page-faulted in on every call at about
+the products' cost.
 """
 
 from __future__ import annotations
@@ -29,11 +31,15 @@ _LEAF = 48  # blocks up to this order are inverted by LAPACK
 
 
 def build_transition(g: Graph) -> np.ndarray:
-    """Row-stochastic transition matrix P = D^-1 A: ``Graph.adjacency_matrix``
-    with row i divided by k_i, so P[i, j] = 1/k_i for each edge (i, j)."""
+    """Row-stochastic transition matrix P = D^-1 A, a new writable array on
+    every call: P[i, j] = 1/k_i for each edge (i, j), scattered from
+    ``Graph.edges`` into zeros (every node of a graph has k >= 1)."""
     if g.num_nodes == 0:
         raise ValueError("cannot build a transition matrix for an empty graph")
-    return g.adjacency_matrix / g.degrees[:, None]
+    u, v = g.edges.T
+    P = np.zeros((g.num_nodes, g.num_nodes))
+    P[u, v], P[v, u] = 1.0 / g.degrees[u], 1.0 / g.degrees[v]
+    return P
 
 
 def _symmetrize(X: np.ndarray) -> np.ndarray:
@@ -76,12 +82,10 @@ def build_rwr(g: Graph, c: float) -> np.ndarray:
     """
     if not 0.0 <= c < 1.0:
         raise ValueError(f"restart complement c must be in [0, 1), got {c}")
-    P = build_transition(g)
-    for i in range(0, len(P), 32):  # P * P.T in place, a strip at a time
-        P[i:i + 32, i:] *= P[i:, i:i + 32].T
-        P[i:, i:i + 32] = P[i:i + 32, i:].T
-    B = np.sqrt(P, out=P)  # N: 1 / sqrt(k_i k_j) per edge, exactly symmetric
-    B *= -c
+    B = build_transition(g)
+    u, v = g.edges.T
+    B[u, v] = B[v, u] = np.sqrt(B[u, v] * B[v, u])  # N: 1 / sqrt(k_i k_j) per edge
+    B *= -c  # over all of B, so a non-edge is -0.0 as in a dense sqrt(P * P.T) * -c
     B.flat[:: B.shape[0] + 1] += 1.0
     M = _spd_inverse(B)
     # Multiplied and divided by sqrt(k), not multiplied by its reciprocal, so

@@ -211,3 +211,71 @@ def test_cross_component_scores_are_exactly_zero(c):
             pairs_apart += apart.sum()
             assert np.all(build_rwr(g, c)[apart] == 0.0)
         assert pairs_apart > 0
+
+
+def _dense_contract_graphs():
+    """More than 2 * _LEAF nodes, so the inverse is split into blocks; the
+    sparse ones are disconnected."""
+    for seed in range(3):
+        yield random_simple_graph(160 + 20 * seed, 130 + 10 * seed, seed)
+        yield random_connected_graph(2 * rwr._LEAF + 7 + 30 * seed, 400, seed)
+
+
+def _bitwise_equal(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_transition_is_the_dense_division_bit_for_bit():
+    for g in _dense_contract_graphs():
+        assert g.num_nodes > 2 * rwr._LEAF
+        expected = g.adjacency_matrix / g.degrees[:, None]
+        assert _bitwise_equal(build_transition(g), expected)
+
+
+def _dense_formation(g, c):
+    """N = sqrt(P * P^T) over all n^2 entries, scaled by -c, then the same
+    inverse and scaling as ``build_rwr``. Returns the matrix handed to the
+    inverse, as it was then, and the resolvent."""
+    P = g.adjacency_matrix / g.degrees[:, None]
+    B = np.sqrt(P * P.T) * -c
+    B.flat[:: B.shape[0] + 1] += 1.0
+    inverted = B.copy()
+    M = rwr._spd_inverse(B)
+    sqrt_k = np.sqrt(g.degrees)
+    M *= (1.0 - c) * sqrt_k[:, None]
+    M /= sqrt_k
+    return inverted, M
+
+
+@pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9])
+def test_rwr_matches_the_dense_formation_bit_for_bit(c, monkeypatch):
+    # BLAS sums drop the sign of a zero, so M alone would not show a non-edge
+    # of I - c N left at +0.0; the matrix handed to the inverse is checked too.
+    spd_inverse, inverted = rwr._spd_inverse, []
+
+    def recording(B):
+        inverted.append(B.copy())
+        return spd_inverse(B)
+
+    for g in _dense_contract_graphs():
+        expected_B, expected_M = _dense_formation(g, c)
+        inverted.clear()
+        with monkeypatch.context() as m:
+            m.setattr(rwr, "_spd_inverse", recording)
+            M = build_rwr(g, c)
+        assert _bitwise_equal(inverted[0], expected_B)
+        assert _bitwise_equal(M, expected_M)
+
+
+@pytest.mark.parametrize("build", [build_transition, lambda g: build_rwr(g, 0.5)],
+                         ids=["transition", "rwr"])
+def test_each_call_returns_a_fresh_writable_buffer(build):
+    g = random_connected_graph(120, 300, 6)
+    first, second = build(g), build(g)
+    assert np.array_equal(first, second)
+    for a in (first, second):
+        assert a.flags.writeable
+    assert not np.shares_memory(first, second)
+    first[...] = 7.0
+    assert np.array_equal(build(g), second)
