@@ -81,9 +81,8 @@ def _add_classifier_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _walk_params(args) -> WalkParams:
-    mode = "alias_weighted" if args.mode == "alias" else "restart"
     return WalkParams(length=args.l, walks_per_node=args.r, p=args.p, q=args.q,
-                      c=args.c, mode=mode)
+                      c=args.c, mode=args.mode)
 
 
 def _train_config(args, seed: int = 0) -> TrainConfig:
@@ -179,8 +178,8 @@ def cmd_embed(args) -> int:
     model = train(corpus, _train_config(args, seed=args.seed))
     for epoch, loss in enumerate(model.epoch_losses, start=1):
         print(f"epoch {epoch}: mean loss {loss:.6f}")
-    save_embedding(model, args.out)
-    print(f"wrote {len(model.vocab)} x {model.dim} embedding to {args.out}")
+    save_embedding(model, graph.nodes, args.out)
+    print(f"wrote {graph.num_nodes} x {model.dim} embedding to {args.out}")
     return EXIT_OK
 
 

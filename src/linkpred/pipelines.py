@@ -75,8 +75,7 @@ def embedding_factory(
     def build(g_train, seed):
         corpus = walks.generate_corpus(g_train, walk_params, derive_seed(seed, "walks"))
         config = replace(train_config, seed=derive_seed(seed, "sgns"))
-        embedding = skipgram.train(corpus, config)
-        vectors = embedding.input_vectors[[embedding.vocab[u] for u in g_train.node_list]]
+        vectors = skipgram.train(corpus, config).input_vectors
         features, labels = predictor.build_training_set(
             g_train, vectors, operator, seed=derive_seed(seed, "negatives")
         )

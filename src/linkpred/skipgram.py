@@ -1,15 +1,18 @@
 """Skip-gram with negative sampling over walk corpora.
 
-The embedding lives in the input table; the output table is the context
-side. Training is plain sequential SGD over the shuffled (center, context)
-pair stream, with negatives drawn from the corpus unigram distribution
-raised to the 0.75 power. Every update, in :func:`train` and in
-:func:`sgns_step`, is the same numpy arithmetic on one pair at a time.
+A corpus entry is a table row: walks carry the graph's dense indices, so
+row i of either table is node ``Graph.nodes[i]``. The embedding lives in
+the input table; the output table is the context side. Training is plain
+sequential SGD over the shuffled (center, context) pair stream, with
+negatives drawn from the corpus unigram distribution raised to the 0.75
+power. Every update, in :func:`train` and in :func:`sgns_step`, is the same
+numpy arithmetic on one pair at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -48,12 +51,11 @@ class EmbeddingModel:
     """Node vectors plus trainer state.
 
     ``input_vectors`` holds the embeddings; ``output_vectors`` is the context
-    table. ``vocab`` maps node id to table row.
+    table. Row i of each belongs to corpus entry i.
     """
 
     input_vectors: np.ndarray
     output_vectors: np.ndarray
-    vocab: dict[int, int]
     epoch_losses: tuple[float, ...] = field(default=())
 
     @property
@@ -62,7 +64,7 @@ class EmbeddingModel:
 
 
 def pair_stream(corpus: Iterable[Walk], window: int) -> Iterator[tuple[int, int]]:
-    """(center, context) pairs within ``window`` positions, clipped at walk ends."""
+    """(center, context) row pairs within ``window`` positions, clipped at walk ends."""
     if window < 1:
         raise ValueError("window must be >= 1")
     for walk in corpus:
@@ -82,20 +84,19 @@ def sgns_step(
     negatives: Sequence[int],
     lr: float,
 ) -> float:
-    """One SGD update for a positive pair against sampled negatives.
+    """One SGD update for a positive row pair against sampled negative rows.
 
     Loss: -log sigmoid(u_ctx . v_cen) - sum over negatives of
     log sigmoid(-u_neg . v_cen). Gradients are evaluated at the pre-update
     state and applied afterwards, accumulating over repeated rows. Returns
     the pre-update loss.
     """
-    vocab = model.vocab
-    rows = np.array([vocab[context]] + [vocab[x] for x in negatives])
-    return _update(model.input_vectors, model.output_vectors, vocab[center], rows, lr)
+    rows = np.array([context, *negatives])
+    return _update(model.input_vectors, model.output_vectors, center, rows, lr)
 
 
 def _update(inp: np.ndarray, out: np.ndarray, cen: int, rows: np.ndarray, lr: float) -> float:
-    """:func:`sgns_step` in table rows: ``rows`` is the context row, then the
+    """:func:`sgns_step` on the tables: ``rows`` is the context row, then the
     negative rows. Updates ``inp`` and ``out`` in place."""
     v = inp[cen].copy()
     ctx = out[rows]
@@ -112,36 +113,22 @@ def _update(inp: np.ndarray, out: np.ndarray, cen: int, rows: np.ndarray, lr: fl
 
 
 def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
-    """Train embeddings over a walk corpus.
+    """Train embeddings over a walk corpus of table rows.
 
-    Input vectors start uniform in [-0.5/dim, 0.5/dim), output vectors at
-    zero. Runs ``epochs`` passes over the shuffled pair stream with the
-    learning rate decaying linearly from LR_INITIAL to LR_FINAL across all
-    steps. Single-threaded and deterministic for a fixed config seed.
+    The tables get ``max(row) + 1`` rows; a row that no walk visits keeps
+    its initial vector and is never drawn as a negative. Input vectors start
+    uniform in [-0.5/dim, 0.5/dim), output vectors at zero. Runs ``epochs``
+    passes over the shuffled pair stream with the learning rate decaying
+    linearly from LR_INITIAL to LR_FINAL across all steps. Single-threaded
+    and deterministic for a fixed config seed.
     """
     corpus = list(corpus)
-    if not corpus:
-        raise ValueError("empty corpus")
-
-    vocab: dict[int, int] = {}
-    counts: list[int] = []
-    for walk in corpus:
-        for node in walk:
-            row = vocab.setdefault(node, len(counts))
-            if row == len(counts):
-                counts.append(0)
-            counts[row] += 1
-
-    centers: list[int] = []
-    contexts: list[int] = []
-    for center, context in pair_stream(corpus, config.window):
-        centers.append(vocab[center])
-        contexts.append(vocab[context])
-    if not centers:
+    counts = np.bincount(np.fromiter(chain.from_iterable(corpus), dtype=np.int64))
+    pairs = np.fromiter(chain.from_iterable(pair_stream(corpus, config.window)), dtype=np.int64)
+    if not pairs.size:
         raise ValueError("corpus yields no context pairs")
 
-    centers_arr = np.array(centers, dtype=np.int64)
-    contexts_arr = np.array(contexts, dtype=np.int64)
+    centers_arr, contexts_arr = pairs.reshape(-1, 2).T
     n_nodes = len(counts)
     n_pairs = centers_arr.shape[0]
 
@@ -149,7 +136,7 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
     inp = (rng.random((n_nodes, config.dim)) - 0.5) / config.dim
     out = np.zeros((n_nodes, config.dim))
 
-    noise = np.array(counts, dtype=float) ** 0.75
+    noise = counts.astype(float) ** 0.75
     noise /= noise.sum()
 
     total_steps = config.epochs * n_pairs
@@ -168,21 +155,18 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
             epoch_loss += _update(inp, out, cen, pair_rows, lr)
         losses.append(epoch_loss / n_pairs)
         done += n_pairs
-    return EmbeddingModel(
-        input_vectors=inp, output_vectors=out, vocab=vocab,
-        epoch_losses=tuple(losses),
-    )
+    return EmbeddingModel(input_vectors=inp, output_vectors=out, epoch_losses=tuple(losses))
 
 
-def save_embedding(model: EmbeddingModel, path: Union[str, Path]) -> None:
-    """Write "<count> <dim>" then one "<node> <v1> ... <vd>" line per node.
+def save_embedding(model: EmbeddingModel, nodes: Sequence[int], path: Union[str, Path]) -> None:
+    """Write "<count> <dim>" then one "<node> <v1> ... <vd>" line per row i,
+    with ``nodes[i]`` as its node (``Graph.nodes`` for a graph's corpus).
 
     Values are rendered with shortest-round-trip precision, so parsing them
     as floats reproduces the vectors exactly.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{len(model.vocab)} {model.dim}\n")
-        for node, row in model.vocab.items():
-            rendered = " ".join(repr(float(x)) for x in model.input_vectors[row])
-            handle.write(f"{node} {rendered}\n")
+        handle.write(f"{len(nodes)} {model.dim}\n")
+        for node, vector in zip(nodes, model.input_vectors.tolist(), strict=True):
+            handle.write(f"{node} {' '.join(map(repr, vector))}\n")
 

@@ -2,7 +2,8 @@
 
 Two samplers: second-order (p, q)-weighted walks with O(1) alias draws, and
 restart walks that jump back to their start node. A walk of length ``l``
-visits ``l + 1`` nodes (start plus l steps).
+visits ``l + 1`` nodes (start plus l steps). Every node in a walk, a row or
+a table key is a dense index: a position in ``Graph.nodes``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Graph
 
 Walk = list[int]
-# Each node's neighbors in ascending order; the samplers' column order.
+# Each dense index's neighbors, ascending by node id; the samplers' column order.
 Neighbors = dict[int, tuple[int, ...]]
 # (prev, curr) -> (prob, alias): column i of nbrs[curr] is kept with
 # probability prob[i] and otherwise replaced by the node alias[i].
@@ -25,7 +28,7 @@ AliasTable = dict[tuple[int, int], tuple[list[float], list[int]]]
 class WalkParams:
     """Corpus-generation settings.
 
-    ``mode`` is "alias_weighted" for (p, q)-biased second-order walks or
+    ``mode`` is "alias" for (p, q)-biased second-order walks or
     "restart" for walks that return to their start node with probability
     1 - c at each step.
     """
@@ -35,10 +38,10 @@ class WalkParams:
     p: float = 1.0
     q: float = 1.0
     c: float = 0.9
-    mode: str = "alias_weighted"
+    mode: str = "alias"
 
     def __post_init__(self):
-        if self.mode not in ("alias_weighted", "restart"):
+        if self.mode not in ("alias", "restart"):
             raise ValueError(f"unknown walk mode {self.mode!r}")
         if self.length < 1:
             raise ValueError("walk length must be >= 1")
@@ -58,12 +61,13 @@ def _check_p_q(p: float, q: float) -> None:
 
 
 def sorted_neighbors(g: Graph) -> Neighbors:
-    """Every node's neighbors as an ascending tuple, keyed in node-list order."""
-    nbrs: dict[int, list[int]] = {x: [] for x in g.node_list}
-    for u, v in g.edge_list:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return {x: tuple(sorted(row)) for x, row in nbrs.items()}
+    """Neighbor rows keyed by dense index, each ascending by node id: both edge
+    orientations sorted by (source, target's id rank), cut at the degree offsets."""
+    n, rank = g.num_nodes, np.argsort(np.argsort(g.nodes))
+    ends = np.concatenate((g.edges, g.edges[:, ::-1]))
+    targets = ends[np.argsort(ends[:, 0] * n + rank[ends[:, 1]]), 1].tolist()
+    stops = np.cumsum(g.degrees).tolist()
+    return {x: tuple(targets[a:b]) for x, (a, b) in enumerate(zip([0, *stops], stops))}
 
 
 def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
@@ -119,8 +123,8 @@ def build_alias_table(g: Graph, p: float, q: float) -> AliasTable:
 def weighted_walk(
     nbrs: Neighbors, table: AliasTable, x: int, length: int, rng: random.Random
 ) -> Walk:
-    """Second-order walk from x: first step uniform, then O(1) alias draws
-    (a uniform column, then keep it or take its alias)."""
+    """Second-order walk from dense index x: first step uniform, then O(1)
+    alias draws (a uniform column, then keep it or take its alias)."""
     first = nbrs[x]  # an unknown start raises KeyError even at length 0
     walk = [x, rng.choice(first)] if length else [x]
     for _ in range(length - 1):
@@ -133,8 +137,8 @@ def weighted_walk(
 
 
 def restart_walk(nbrs: Neighbors, x: int, length: int, c: float, rng: random.Random) -> Walk:
-    """Walk from x that moves to a uniform neighbor with probability c and
-    otherwise returns to x."""
+    """Walk from dense index x that moves to a uniform neighbor with
+    probability c and otherwise returns to x."""
     if x not in nbrs:
         raise KeyError(x)
     walk = [x]
@@ -144,18 +148,18 @@ def restart_walk(nbrs: Neighbors, x: int, length: int, c: float, rng: random.Ran
 
 
 def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
-    """r walks per start node, iterated as r outer passes over the node list.
+    """r walks per start node, iterated as r outer passes over the dense indices.
 
     Deterministic for a fixed seed; one RNG drives the whole corpus.
     """
     rng = random.Random(seed)
     nbrs = sorted_neighbors(g)
     table = None
-    if params.mode == "alias_weighted":
+    if params.mode == "alias":
         table = build_alias_table(g, params.p, params.q)
     corpus: list[Walk] = []
     for _ in range(params.walks_per_node):
-        for x in g.node_list:
+        for x in range(g.num_nodes):
             if table is not None:
                 corpus.append(weighted_walk(nbrs, table, x, params.length, rng))
             else:

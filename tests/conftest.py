@@ -16,6 +16,10 @@ settings.load_profile("suite")
 
 # Shared example graph: degrees k0=2, k1=3, k2=3, k3=3, k4=1.
 G1_EDGES = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4)]
+# A 6-ring over 40, 7, 23, 2, 91, 15 plus three chords: its ids are neither
+# 0-based nor sorted in first-seen order, so dense index and id differ.
+SHUFFLED_RING_EDGES = [(40, 7), (7, 23), (23, 2), (2, 91), (91, 15), (15, 40),
+                       (40, 2), (7, 91), (23, 15)]
 
 
 @pytest.fixture

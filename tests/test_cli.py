@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import linkpred
+from conftest import SHUFFLED_RING_EDGES
 from linkpred import datasets
 from linkpred.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from linkpred.graph import Graph, split_edges
+from linkpred.skipgram import TrainConfig, train
+from linkpred.walks import WalkParams, generate_corpus
 
 
 def _write(path, pairs):
@@ -107,6 +110,21 @@ def test_embed_writes_a_loadable_embedding(tmp_path, capsys):
     assert header == "30 16"
     assert len(rows) == 30
     assert all(len(row.split()) == 17 for row in rows)
+
+
+def test_embed_writes_graph_nodes_with_their_rows(tmp_path, capsys):
+    out = tmp_path / "ring.emb"
+    edges = _write(tmp_path / "ring.txt", SHUFFLED_RING_EDGES)
+    assert main(["embed", edges, *EMBED_FLAGS, "--seed", "5", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(f"wrote 6 x 16 embedding to {out}\n")
+    graph = Graph(SHUFFLED_RING_EDGES)
+    corpus = generate_corpus(graph, WalkParams(length=10, walks_per_node=2), seed=5)
+    model = train(corpus, TrainConfig(dim=16, window=3, epochs=2, seed=5))
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == "6 16"
+    assert [int(row.split()[0]) for row in rows] == graph.nodes.tolist() == [40, 7, 23, 2, 91, 15]
+    vectors = np.array([[float(x) for x in row.split()[1:]] for row in rows])
+    assert np.array_equal(vectors, model.input_vectors)
 
 
 @pytest.mark.parametrize("flag", [["--operator", "average"], ["--lambda", "5"],

@@ -58,9 +58,9 @@ GOLDEN_LEVELS = [local_index_factory(k) for k in LOCAL_INDICES] + [
 # Per-trial (wins, ties, losses) of run_experiment(chesapeake_like(),
 # EMBED_LEVELS, trials=3), recorded the same way as GOLDEN.
 GOLDEN_EMBED = {
-    "hadamard": ((605, 5, 390), (666, 6, 328), (628, 6, 366)),
-    "average": ((670, 5, 325), (596, 6, 398), (675, 6, 319)),
-    "abs_diff": ((583, 5, 412), (428, 6, 566), (575, 6, 419)),
+    "hadamard": ((598, 5, 397), (661, 6, 333), (642, 6, 352)),
+    "average": ((666, 5, 329), (599, 6, 395), (672, 6, 322)),
+    "abs_diff": ((565, 5, 430), (428, 6, 566), (564, 6, 430)),
 }
 EMBED_LEVELS = [
     embedding_factory(WalkParams(10, 2), TrainConfig(dim=16, window=3, epochs=2), op, tag=op)

@@ -53,7 +53,6 @@ def _random_model(rng, n_nodes=6, dim=8, scale=0.3):
     return EmbeddingModel(
         input_vectors=rng.normal(scale=scale, size=(n_nodes, dim)),
         output_vectors=rng.normal(scale=scale, size=(n_nodes, dim)),
-        vocab={i: i for i in range(n_nodes)},
     )
 
 
@@ -63,7 +62,6 @@ class TestSgnsStep:
         model = EmbeddingModel(
             input_vectors=np.zeros((5, 4)),
             output_vectors=np.zeros((5, 4)),
-            vocab={i: i for i in range(5)},
         )
         loss = sgns_step(model, 0, 1, negatives, lr=0.5)
         assert loss == pytest.approx((1 + len(negatives)) * math.log(2), rel=1e-12)
@@ -122,30 +120,29 @@ def _corpus(graph, length=15, walks_per_node=4, seed=0):
 
 
 def _replay_train(corpus, config):
-    """train() spelled out as sgns_step calls: the same vocabulary order, init
-    draw, per-epoch permutation, unigram^0.75 negatives and lr decay."""
-    counts = Counter(node for walk in corpus for node in walk)
-    nodes = list(counts)
+    """train() spelled out as sgns_step calls: the same rows (corpus entries),
+    init draw, per-epoch permutation, unigram^0.75 negatives and lr decay."""
+    counts = Counter(row for walk in corpus for row in walk)
+    n_rows = max(counts) + 1
     pairs = list(pair_stream(corpus, config.window))
     rng = np.random.default_rng(config.seed)
     model = EmbeddingModel(
-        input_vectors=(rng.random((len(nodes), config.dim)) - 0.5) / config.dim,
-        output_vectors=np.zeros((len(nodes), config.dim)),
-        vocab={node: row for row, node in enumerate(nodes)},
+        input_vectors=(rng.random((n_rows, config.dim)) - 0.5) / config.dim,
+        output_vectors=np.zeros((n_rows, config.dim)),
     )
-    noise = np.array([counts[node] for node in nodes], dtype=float) ** 0.75
+    noise = np.array([counts[row] for row in range(n_rows)], dtype=float) ** 0.75
     noise /= noise.sum()
     n_steps = config.epochs * len(pairs)
     step = 0
     for _ in range(config.epochs):
         order = rng.permutation(len(pairs))
-        negatives = rng.choice(len(nodes), size=(len(pairs), config.negatives), p=noise)
+        negatives = rng.choice(n_rows, size=(len(pairs), config.negatives), p=noise)
         for t, i in enumerate(order):
             lr = LR_INITIAL + (LR_FINAL - LR_INITIAL) * (
                 step / max(n_steps - 1, 1)
             )
             center, context = pairs[i]
-            sgns_step(model, center, context, [nodes[r] for r in negatives[t]], lr)
+            sgns_step(model, center, context, negatives[t], lr)
             step += 1
     return model
 
@@ -156,7 +153,6 @@ class TestTrain:
         config = TrainConfig(dim=6, window=2, epochs=3, negatives=3, seed=13)
         model = train(corpus, config)
         replay = _replay_train(corpus, config)
-        assert model.vocab == replay.vocab
         assert np.array_equal(model.input_vectors, replay.input_vectors)
         assert np.array_equal(model.output_vectors, replay.output_vectors)
 
@@ -167,7 +163,6 @@ class TestTrain:
         assert model.output_vectors.shape == (5, 16)
         assert np.all(np.isfinite(model.input_vectors))
         assert np.all(np.isfinite(model.output_vectors))
-        assert set(model.vocab) == set(g1.node_list)
 
     def test_deterministic(self, g1):
         corpus = _corpus(g1)
@@ -204,7 +199,7 @@ class TestTrain:
         g = Graph(pairs)
         corpus = _corpus(g, length=20, walks_per_node=5, seed=4)
         model = train(corpus, TrainConfig())
-        vectors = model.input_vectors[[model.vocab[node] for node in range(30)]]
+        vectors = model.input_vectors[[g.dense_index[node] for node in range(30)]]
         unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
         cosine = unit @ unit.T
         block = np.array([0] * 15 + [1] * 15)
@@ -235,20 +230,21 @@ class TestSaveLoad:
         model = EmbeddingModel(
             input_vectors=np.array([[1.0, 0.0], [0.0, 1.0]]),
             output_vectors=np.zeros((2, 2)),
-            vocab={0: 0, 1: 1},
         )
         path = tmp_path / "emb.txt"
-        save_embedding(model, path)
-        assert path.read_bytes() == b"2 2\n0 1.0 0.0\n1 0.0 1.0\n"
+        save_embedding(model, [7, 3], path)
+        assert path.read_bytes() == b"2 2\n7 1.0 0.0\n3 0.0 1.0\n"
+        with pytest.raises(ValueError):
+            save_embedding(model, [7, 3, 5], path)
 
     def test_round_trip_exact(self, g1, tmp_path):
         corpus = _corpus(g1)
         model = train(corpus, TrainConfig(dim=12, window=3, epochs=2, seed=5))
         path = tmp_path / "emb.txt"
-        save_embedding(model, path)
+        save_embedding(model, g1.nodes, path)
         header, *rows = path.read_text(encoding="utf-8").splitlines()
-        assert header == f"{len(model.vocab)} 12"
+        assert header == f"{g1.num_nodes} 12"
         nodes = [int(row.split()[0]) for row in rows]
-        assert nodes == list(model.vocab)
+        assert nodes == g1.nodes.tolist()
         vectors = np.array([[float(x) for x in row.split()[1:]] for row in rows])
-        assert np.array_equal(vectors, model.input_vectors[list(model.vocab.values())])
+        assert np.array_equal(vectors, model.input_vectors)

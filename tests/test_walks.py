@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given
 
-from conftest import G1_EDGES, edge_lists, neighbor_sets
+from conftest import SHUFFLED_RING_EDGES, edge_lists, neighbor_sets
 from linkpred import datasets
 from linkpred.graph import Graph
 from linkpred.walks import (
@@ -114,14 +114,16 @@ class TestAliasTable:
 
     @given(edge_lists())
     def test_reconstruction_identity_random(self, pairs):
+        # the oracle speaks node ids, the table dense indices
         g = Graph(pairs)
+        ids, dense = g.node_list, g.dense_index
         for p, q in [(0.25, 4.0), (1.0, 1.0), (4.0, 0.25)]:
             table = build_alias_table(g, p, q)
             for prev, curr in table:
-                expected = _expected_distribution(g, prev, curr, p, q)
+                expected = _expected_distribution(g, ids[prev], ids[curr], p, q)
                 reconstructed = _entry_distribution(g, table, prev, curr)
                 for node, mass in expected.items():
-                    assert reconstructed[node] == pytest.approx(mass, abs=1e-12)
+                    assert reconstructed[dense[node]] == pytest.approx(mass, abs=1e-12)
 
 
 class TestAliasDraw:
@@ -261,11 +263,12 @@ class TestGenerateCorpus:
         params = WalkParams(length=2, walks_per_node=2)
         corpus = generate_corpus(g1, params, seed=1)
         starts = [walk[0] for walk in corpus]
-        assert starts == list(g1.node_list) * 2
+        assert starts == list(range(g1.num_nodes)) * 2
 
 
-# sha256 of repr(generate_corpus(g, params, seed=0)). They pin the RNG draw
-# order: any rewrite of the samplers must reproduce each corpus byte for byte.
+# sha256 of repr(generate_corpus(g, params, seed=0)) mapped through g.nodes to
+# node ids. They pin the RNG draw order: any rewrite of the samplers must
+# reproduce each corpus byte for byte.
 CORPUS_PARAMS = {
     "alias_p0.5_q2": WalkParams(12, 2, p=0.5, q=2.0),
     "uniform": WalkParams(10, 1),
@@ -291,8 +294,21 @@ CORPUS_SHA256 = {
 def test_golden_corpus(graph_name, params_name):
     g = getattr(datasets, graph_name)()
     corpus = generate_corpus(g, CORPUS_PARAMS[params_name], seed=0)
-    digest = hashlib.sha256(repr(corpus).encode()).hexdigest()
+    as_ids = [[g.node_list[x] for x in walk] for walk in corpus]
+    digest = hashlib.sha256(repr(as_ids).encode()).hexdigest()
     assert digest == CORPUS_SHA256[(graph_name, params_name)]
+
+
+@pytest.mark.parametrize("params_name", sorted(CORPUS_PARAMS))
+def test_corpus_walks_dense_indices(params_name):
+    # ids that are neither 0-based nor in first-seen order: an id-valued
+    # corpus would leave range(n) or step between non-adjacent rows
+    params = CORPUS_PARAMS[params_name]
+    g = Graph(SHUFFLED_RING_EDGES)
+    for walk in generate_corpus(g, params, seed=3):
+        assert set(walk) <= set(range(g.num_nodes))
+        for a, b in zip(walk, walk[1:]):
+            assert g.adjacency_matrix[a, b] or (params.mode == "restart" and b == walk[0])
 
 
 class TestWalkParams:
