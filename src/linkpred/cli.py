@@ -1,8 +1,9 @@
 """Command-line front end: stats, auc, embed, and sweep subcommands.
 
 Exit codes: 0 success, 1 usage or validation error, 2 data or parse error
-(including a graph with too few edges or non-edges). All subcommands are
-end-to-end deterministic for a fixed --seed.
+(including a graph with too few edges or non-edges). The method, walk,
+skip-gram and classifier flags are checked before the edge list is read.
+All subcommands are end-to-end deterministic for a fixed --seed.
 """
 
 from __future__ import annotations
@@ -166,16 +167,18 @@ def _run_and_report(args, graph: Graph, factories, trials_path: str,
 
 
 def cmd_auc(args) -> int:
-    return _run_and_report(args, _load(args.edgelist), [_method_factory(args)],
+    factory = _method_factory(args)
+    return _run_and_report(args, _load(args.edgelist), [factory],
                            f"{args.out}_trials.csv", f"{args.out}_summary.csv")
 
 
 def cmd_embed(args) -> int:
+    params, config = _walk_params(args), _train_config(args, seed=args.seed)
     graph = _load(args.edgelist)
     if graph.num_edges == 0:
         raise TooFewEdgesError("no edges to embed")
-    corpus = generate_corpus(graph, _walk_params(args), args.seed)
-    model = train(corpus, _train_config(args, seed=args.seed))
+    corpus = generate_corpus(graph, params, args.seed)
+    model = train(corpus, config)
     for epoch, loss in enumerate(model.epoch_losses, start=1):
         print(f"epoch {epoch}: mean loss {loss:.6f}")
     save_embedding(model, graph.nodes, args.out)
@@ -186,10 +189,8 @@ def cmd_embed(args) -> int:
 def cmd_sweep(args) -> int:
     if args.summary_out and args.trials < 2:
         raise ValueError("--summary-out needs --trials >= 2")
-    levels = _sweep_levels(args)
-    graph = _load(args.edgelist)
-    factories = [_method_factory(level, tag) for level, tag in levels]
-    return _run_and_report(args, graph, factories, args.out, args.summary_out)
+    factories = [_method_factory(level, tag) for level, tag in _sweep_levels(args)]
+    return _run_and_report(args, _load(args.edgelist), factories, args.out, args.summary_out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,16 +37,20 @@ def local_index_factory(kind: str) -> ScorerFactory:
 
 
 def rwr_factory(c: float) -> ScorerFactory:
-    """Factory that scores pairs from the RWR resolvent of each training graph (rwr.build_rwr)."""
+    """Factory that scores pairs from the RWR resolvent of each training graph
+    (rwr.build_rwr). c is checked here, before any graph is read."""
+    rwr.check_restart(c)
     tag = f"rwr_c={c:.15g}"
 
     def build(g_train, seed):
-        M = rwr.build_rwr(g_train, c)
+        X = rwr.build_rwr(g_train, c)
+        s = np.sqrt(g_train.degrees)
+        a = (1.0 - c) * s
 
         def pairs(rows, cols):
-            # Gathered from M, not from a stored M + M.T: the extra n x n
-            # array per level slowed a usair_like trial by about a tenth.
-            return M[rows, cols] + M[cols, rows]
+            # M[r, q] + M[q, r] of M = (1 - c) D^1/2 X D^-1/2, each read entry
+            # scaled as a full scaling would; the terms swap under r <-> q.
+            return X[rows, cols] * a[rows] / s[cols] + X[cols, rows] * a[cols] / s[rows]
 
         return Scorer(tag, _one_pair(g_train, pairs), pairs)
 

@@ -267,6 +267,24 @@ def test_sweep_rejects_bad_values_before_reading(tmp_path, capsys, flags, err):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["auc", "--method", "rwr", "--c", "1.5", "--out", "a"],
+     "error: restart complement c must be in [0, 1), got 1.5\n"),
+    (["sweep", "--param", "c", "--values", "0.5,1.0", "--out", "s.csv"],
+     "error: restart complement c must be in [0, 1), got 1.0\n"),
+    (["auc", "--method", "embed", "--clf-lr", "-1", "--out", "a"],
+     "error: classifier lr must be finite and > 0, got -1.0\n"),
+    (["embed", "--d", "0", "--out", "e.emb"], "error: dim must be >= 1\n"),
+], ids=["auc_rwr_c", "sweep_rwr_c", "auc_clf_lr", "embed_d"])
+def test_flags_are_checked_before_reading(tmp_path, capsys, monkeypatch, argv, err):
+    # The edge list does not exist: every flag is checked before it is read.
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    assert main([command, "missing.txt", *flags]) == EXIT_USAGE
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_rejects_repeated_levels(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", _chesapeake(tmp_path), "--param", "c", "--values",

@@ -54,14 +54,24 @@ def _loop_transition(g):
     return P
 
 
+def _resolvent(g, c):
+    """M = (1 - c) D^1/2 X D^-1/2 from the X that ``build_rwr`` returns,
+    scaled over all n^2 entries."""
+    M = build_rwr(g, c)
+    sqrt_k = np.sqrt(g.degrees)
+    M *= (1.0 - c) * sqrt_k[:, None]
+    M /= sqrt_k
+    return M
+
+
 class TestResolvent:
     def test_single_edge_half(self):
-        M = build_rwr(Graph([(0, 1)]), 0.5)
+        M = _resolvent(Graph([(0, 1)]), 0.5)
         expected = np.array([[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
         assert np.allclose(M, expected, atol=1e-12)
 
     def test_single_edge_high_c(self):
-        M = build_rwr(Graph([(0, 1)]), 0.9)
+        M = _resolvent(Graph([(0, 1)]), 0.9)
         expected = np.array([[10 / 19, 9 / 19], [9 / 19, 10 / 19]])
         assert np.allclose(M, expected, atol=1e-12)
 
@@ -108,7 +118,7 @@ def test_stationary_invariants_random_graphs(c):
     for seed in range(6):
         n = 8 + 7 * seed
         g = random_connected_graph(n, 2 * n, seed)
-        M, P = build_rwr(g, c), build_transition(g)
+        M, P = _resolvent(g, c), build_transition(g)
         n = g.num_nodes
         assert np.all(M.sum(axis=0) > 1 - 1e-9)
         assert np.all(M.sum(axis=0) < 1 + 1e-9)
@@ -122,7 +132,7 @@ def test_neumann_series_oracle(c):
     # M should match (1-c) * sum_k c^k (P^T)^k truncated at K=200
     for seed in range(4):
         g = random_simple_graph(6 + 3 * seed, 10 + 4 * seed, seed)
-        M = build_rwr(g, c)
+        M = _resolvent(g, c)
         Pt = build_transition(g).T
         n = g.num_nodes
         term = np.eye(n)
@@ -158,7 +168,7 @@ def _oracle_graphs():
 @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9, 0.99])
 def test_matches_lu_oracle(c):
     for g in _oracle_graphs():
-        assert np.abs(build_rwr(g, c) - _lu_resolvent(g, c)).max() <= 1e-12
+        assert np.abs(_resolvent(g, c) - _lu_resolvent(g, c)).max() <= 1e-12
 
 
 def test_c_just_below_one_is_finite():
@@ -183,7 +193,6 @@ def test_spd_inverse_matches_numpy_inverse(n):
     B = _random_spd(n, n)
     R, expected = rwr._spd_inverse(B.copy()), np.linalg.inv(B)
     assert np.abs(R - expected).max() <= 1e-12 * np.abs(expected).max()
-    assert np.array_equal(R, R.T)
 
 
 def test_level_is_independent_of_call_history():
@@ -213,6 +222,33 @@ def test_cross_component_scores_are_exactly_zero(c):
         assert pairs_apart > 0
 
 
+@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
+def test_scores_on_blocked_graphs(c):
+    # Above 2 * _LEAF nodes the inverse is split into blocks and is symmetric
+    # to rounding only; the scores must still be exactly symmetric.
+    from scipy.sparse.csgraph import connected_components
+
+    graphs = [random_connected_graph(2 * rwr._LEAF + 5 + 40 * seed, 350, seed)
+              for seed in range(2)]
+    graphs += [random_simple_graph(150 + 20 * seed, 120, seed) for seed in range(2)]
+    pairs_apart = 0
+    for g in graphs:
+        n = g.num_nodes
+        assert n > 2 * rwr._LEAF
+        rows, cols = (a.ravel() for a in np.indices((n, n)))
+        S = rwr_factory(c).build(g, 0).pairs(rows, cols).reshape(n, n)
+        assert np.array_equal(S, S.T)
+        M = _resolvent(g, c)  # the full scaling: same arithmetic per entry
+        assert np.array_equal(S, M + M.T)
+        M = _lu_resolvent(g, c)
+        assert np.abs(S - (M + M.T)).max() <= 1e-12
+        _, label = connected_components(g.adjacency_matrix, directed=False)
+        apart = label[:, None] != label
+        pairs_apart += apart.sum()
+        assert np.all(S[apart] == 0.0)
+    assert pairs_apart > 0
+
+
 def _dense_contract_graphs():
     """More than 2 * _LEAF nodes, so the inverse is split into blocks; the
     sparse ones are disconnected."""
@@ -235,22 +271,18 @@ def test_transition_is_the_dense_division_bit_for_bit():
 
 def _dense_formation(g, c):
     """N = sqrt(P * P^T) over all n^2 entries, scaled by -c, then the same
-    inverse and scaling as ``build_rwr``. Returns the matrix handed to the
-    inverse, as it was then, and the resolvent."""
+    inverse as ``build_rwr``. Returns the matrix handed to the inverse, as it
+    was then, and its inverse X."""
     P = g.adjacency_matrix / g.degrees[:, None]
     B = np.sqrt(P * P.T) * -c
     B.flat[:: B.shape[0] + 1] += 1.0
     inverted = B.copy()
-    M = rwr._spd_inverse(B)
-    sqrt_k = np.sqrt(g.degrees)
-    M *= (1.0 - c) * sqrt_k[:, None]
-    M /= sqrt_k
-    return inverted, M
+    return inverted, rwr._spd_inverse(B)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9])
 def test_rwr_matches_the_dense_formation_bit_for_bit(c, monkeypatch):
-    # BLAS sums drop the sign of a zero, so M alone would not show a non-edge
+    # BLAS sums drop the sign of a zero, so X alone would not show a non-edge
     # of I - c N left at +0.0; the matrix handed to the inverse is checked too.
     spd_inverse, inverted = rwr._spd_inverse, []
 
@@ -259,13 +291,13 @@ def test_rwr_matches_the_dense_formation_bit_for_bit(c, monkeypatch):
         return spd_inverse(B)
 
     for g in _dense_contract_graphs():
-        expected_B, expected_M = _dense_formation(g, c)
+        expected_B, expected_X = _dense_formation(g, c)
         inverted.clear()
         with monkeypatch.context() as m:
             m.setattr(rwr, "_spd_inverse", recording)
-            M = build_rwr(g, c)
+            X = build_rwr(g, c)
         assert _bitwise_equal(inverted[0], expected_B)
-        assert _bitwise_equal(M, expected_M)
+        assert _bitwise_equal(X, expected_X)
 
 
 @pytest.mark.parametrize("build", [build_transition, lambda g: build_rwr(g, 0.5)],
