@@ -1,8 +1,9 @@
 """Command-line front end: stats, auc, embed, and sweep subcommands.
 
 Exit codes: 0 success, 1 usage or validation error, 2 data or parse error
-(including a graph with too few edges or non-edges). The method, walk,
-skip-gram and classifier flags are checked before the edge list is read.
+(including a graph with too few edges or non-edges). The method, split,
+walk, skip-gram and classifier flags are checked before the edge list is
+read; the classifier, fit to its optimum, takes --operator and --lambda only.
 All subcommands are end-to-end deterministic for a fixed --seed.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import sys
 
 from .evaluate import (
+    check_split_settings,
     paired_difference,
     run_experiment,
     summarize,
@@ -76,9 +78,7 @@ def _add_classifier_options(parser: argparse.ArgumentParser) -> None:
     """Edge-classifier settings, read only where embeddings are scored."""
     parser.add_argument("--operator", choices=OPERATORS, default="hadamard")
     parser.add_argument("--lambda", dest="reg_lambda", type=float, default=1e-4,
-                        help="L2 penalty for the logistic classifier (finite, >= 0)")
-    parser.add_argument("--clf-lr", type=float, default=0.1, help="finite, > 0")
-    parser.add_argument("--clf-epochs", type=int, default=500, help=">= 1")
+                        help="L2 penalty for the logistic classifier (finite, > 0)")
 
 
 def _walk_params(args) -> WalkParams:
@@ -100,8 +100,7 @@ def _method_factory(args, embed_tag: str = "embed"):
         return rwr_factory(args.c)
     return embedding_factory(
         _walk_params(args), _train_config(args), operator=args.operator,
-        reg_lambda=args.reg_lambda, classifier_lr=args.clf_lr,
-        classifier_epochs=args.clf_epochs, tag=embed_tag,
+        reg_lambda=args.reg_lambda, tag=embed_tag,
     )
 
 
@@ -142,12 +141,14 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _run_and_report(args, graph: Graph, factories, trials_path: str,
-                    summary_path: str | None) -> int:
-    """Run the paired experiment and write its CSVs. Print each record for one
-    trial, else each level's summary and its paired difference from the first."""
-    result = run_experiment(graph, factories, trials=args.trials, comparisons=args.n,
-                            test_fraction=args.test_fraction, base_seed=args.seed)
+def _run_and_report(args, factories, trials_path: str, summary_path: str | None) -> int:
+    """Check the split flags, read the edge list, run the paired experiment and
+    write its CSVs. Print each record for one trial, else each level's summary
+    and its paired difference from the first."""
+    check_split_settings(args.trials, args.test_fraction, args.n)
+    result = run_experiment(_load(args.edgelist), factories, trials=args.trials,
+                            comparisons=args.n, test_fraction=args.test_fraction,
+                            base_seed=args.seed)
     write_records_csv(result, trials_path)
     if args.trials < 2:
         for r in result.records:
@@ -167,8 +168,7 @@ def _run_and_report(args, graph: Graph, factories, trials_path: str,
 
 
 def cmd_auc(args) -> int:
-    factory = _method_factory(args)
-    return _run_and_report(args, _load(args.edgelist), [factory],
+    return _run_and_report(args, [_method_factory(args)],
                            f"{args.out}_trials.csv", f"{args.out}_summary.csv")
 
 
@@ -190,7 +190,7 @@ def cmd_sweep(args) -> int:
     if args.summary_out and args.trials < 2:
         raise ValueError("--summary-out needs --trials >= 2")
     factories = [_method_factory(level, tag) for level, tag in _sweep_levels(args)]
-    return _run_and_report(args, _load(args.edgelist), factories, args.out, args.summary_out)
+    return _run_and_report(args, factories, args.out, args.summary_out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -195,6 +195,16 @@ class ExperimentResult:
         return tuple(r.auc for r in self.records if r.level == level)
 
 
+def check_split_settings(trials: int, test_fraction: float, comparisons: int) -> None:
+    """Raise ValueError unless trials >= 1, 0 < test_fraction < 1 and comparisons >= 1."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    if comparisons < 1:
+        raise ValueError("need at least one comparison")
+
+
 def run_experiment(
     g_full: Graph,
     levels: Sequence[ScorerFactory],
@@ -211,8 +221,7 @@ def run_experiment(
     within-partition. Level tags must be distinct: records are grouped by
     tag. Deterministic end to end.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    check_split_settings(trials, test_fraction, comparisons)
     if not levels:
         raise ValueError("no levels to evaluate")
     tags = [factory.tag for factory in levels]

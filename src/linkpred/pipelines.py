@@ -62,7 +62,6 @@ def embedding_factory(
     train_config: skipgram.TrainConfig,
     operator: str = "hadamard",
     reg_lambda: float = 1e-4,
-    classifier_lr: float = 0.1,
     classifier_epochs: int = 500,
     *,
     tag: str,
@@ -71,10 +70,11 @@ def embedding_factory(
 
     Rebuilt per training graph (and hence per partition); the factory seed
     drives walk generation, SGNS initialization/sampling, and negative-pair
-    selection through independent derived streams. The classifier settings
-    are checked here, before any graph is walked.
+    selection through independent derived streams. The classifier is fit to
+    its optimum at reg_lambda; ``classifier_epochs`` caps its Newton steps.
+    Both are checked here, before any graph is walked.
     """
-    predictor.check_classifier_settings(reg_lambda, classifier_lr, classifier_epochs)
+    predictor.check_classifier_settings(reg_lambda, classifier_epochs)
 
     def build(g_train, seed):
         corpus = walks.generate_corpus(g_train, walk_params, derive_seed(seed, "walks"))
@@ -83,9 +83,7 @@ def embedding_factory(
         features, labels = predictor.build_training_set(
             g_train, vectors, operator, seed=derive_seed(seed, "negatives")
         )
-        classifier = predictor.train_logistic(
-            features, labels, reg_lambda, classifier_lr, classifier_epochs
-        )
+        classifier = predictor.train_logistic(features, labels, reg_lambda, classifier_epochs)
 
         def pairs(rows, cols):
             return predictor.predict(

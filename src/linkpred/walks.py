@@ -97,15 +97,15 @@ def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
     return prob, alias
 
 
-def build_alias_table(g: Graph, p: float, q: float) -> AliasTable:
-    """Precompute the alias columns for both orientations of every edge.
+def build_alias_table(nbrs: Neighbors, p: float, q: float) -> AliasTable:
+    """Precompute the alias columns for both orientations of every edge of the
+    graph whose :func:`sorted_neighbors` rows are ``nbrs``.
 
     For the directed orientation (t, x) the distribution over N(x) weights a
     neighbor 1/p if it is t itself, 1 if it is also a neighbor of t, and 1/q
     otherwise, normalized.
     """
     _check_p_q(p, q)
-    nbrs = sorted_neighbors(g)
     members = {x: set(row) for x, row in nbrs.items()}
     table: AliasTable = {}
     for curr, row in nbrs.items():
@@ -156,7 +156,7 @@ def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
     nbrs = sorted_neighbors(g)
     table = None
     if params.mode == "alias":
-        table = build_alias_table(g, params.p, params.q)
+        table = build_alias_table(nbrs, params.p, params.q)
     corpus: list[Walk] = []
     for _ in range(params.walks_per_node):
         for x in range(g.num_nodes):

@@ -151,17 +151,7 @@ def test_meaningless_classifier_setting_is_a_usage_error(tmp_path, capsys):
     code = main(["auc", _chesapeake(tmp_path), "--method", "embed", "--lambda", "nan",
                  *EMBED_FLAGS, "--out", str(tmp_path / "a")])
     assert code == EXIT_USAGE
-    assert capsys.readouterr().err == "error: reg_lambda must be finite and >= 0, got nan\n"
-    assert not (tmp_path / "a_trials.csv").exists()
-
-
-def test_diverging_classifier_is_a_usage_error(tmp_path, capsys):
-    code = main(["auc", _chesapeake(tmp_path), "--method", "embed", "--d", "4", "--r", "1",
-                 "--l", "5", "--k", "2", "--epochs", "1", "--trials", "2",
-                 "--clf-lr", "1e300", "--out", str(tmp_path / "a")])
-    assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: classifier diverged") and err.count("\n") == 1
+    assert capsys.readouterr().err == "error: reg_lambda must be finite and > 0, got nan\n"
     assert not (tmp_path / "a_trials.csv").exists()
 
 
@@ -272,10 +262,19 @@ def test_sweep_rejects_bad_values_before_reading(tmp_path, capsys, flags, err):
      "error: restart complement c must be in [0, 1), got 1.5\n"),
     (["sweep", "--param", "c", "--values", "0.5,1.0", "--out", "s.csv"],
      "error: restart complement c must be in [0, 1), got 1.0\n"),
-    (["auc", "--method", "embed", "--clf-lr", "-1", "--out", "a"],
-     "error: classifier lr must be finite and > 0, got -1.0\n"),
+    (["auc", "--method", "embed", "--lambda", "0", "--out", "a"],
+     "error: reg_lambda must be finite and > 0, got 0.0\n"),
     (["embed", "--d", "0", "--out", "e.emb"], "error: dim must be >= 1\n"),
-], ids=["auc_rwr_c", "sweep_rwr_c", "auc_clf_lr", "embed_d"])
+    (["auc", "--method", "cn", "--trials", "0", "--out", "a"],
+     "error: need at least one trial\n"),
+    (["auc", "--method", "cn", "--test-fraction", "1.5", "--out", "a"],
+     "error: test_fraction must be in (0, 1), got 1.5\n"),
+    (["auc", "--method", "cn", "--n", "0", "--out", "a"],
+     "error: need at least one comparison\n"),
+    (["sweep", "--param", "c", "--values", "0.5", "--trials", "0", "--out", "s.csv"],
+     "error: need at least one trial\n"),
+], ids=["auc_rwr_c", "sweep_rwr_c", "auc_lambda", "embed_d", "auc_trials", "auc_test_fraction",
+        "auc_n", "sweep_trials"])
 def test_flags_are_checked_before_reading(tmp_path, capsys, monkeypatch, argv, err):
     # The edge list does not exist: every flag is checked before it is read.
     monkeypatch.chdir(tmp_path)

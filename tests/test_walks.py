@@ -68,7 +68,7 @@ class TestAliasTable:
     def test_g1_entry_exact(self, g1):
         # entry (0,1) with p=1, q=2: N(1)={0,2,3}; 0 is the previous node,
         # 2 is a mutual neighbor, 3 is not adjacent to 0 -> [1, 1, 0.5]
-        table = build_alias_table(g1, p=1.0, q=2.0)
+        table = build_alias_table(sorted_neighbors(g1), p=1.0, q=2.0)
         dist = _entry_distribution(g1, table, 0, 1)
         assert dist[0] == pytest.approx(0.4, abs=1e-12)
         assert dist[2] == pytest.approx(0.4, abs=1e-12)
@@ -77,18 +77,18 @@ class TestAliasTable:
     def test_uniform_weights_prob_all_one(self):
         # triangle with p=q=1: every neighbor weight equal, Vose degenerates
         g = Graph([(0, 1), (0, 2), (1, 2)])
-        table = build_alias_table(g, p=1.0, q=1.0)
+        table = build_alias_table(sorted_neighbors(g), p=1.0, q=1.0)
         for prob, _ in table.values():
             assert all(pr == 1.0 for pr in prob)
 
     def test_single_edge_point_mass(self):
         g = Graph([(0, 1)])
-        table = build_alias_table(g, p=1.0, q=1.0)
+        table = build_alias_table(sorted_neighbors(g), p=1.0, q=1.0)
         dist = _entry_distribution(g, table, 0, 1)
         assert dist == {0: pytest.approx(1.0)}
 
     def test_covers_both_orientations(self, g1):
-        table = build_alias_table(g1, 1.0, 1.0)
+        table = build_alias_table(sorted_neighbors(g1), 1.0, 1.0)
         assert len(table) == 2 * g1.num_edges
         for u, v in g1.edge_list:
             assert (u, v) in table
@@ -99,12 +99,12 @@ class TestAliasTable:
                                      (1.0, 1e-310), (1e-308, 2e-308)])
     def test_invalid_p_q(self, g1, p, q):
         with pytest.raises(ValueError):
-            build_alias_table(g1, p, q)
+            build_alias_table(sorted_neighbors(g1), p, q)
 
     @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("q", [0.25, 1.0, 4.0])
     def test_reconstruction_identity_g1(self, g1, p, q):
-        table = build_alias_table(g1, p, q)
+        table = build_alias_table(sorted_neighbors(g1), p, q)
         for prev, curr in table:
             expected = _expected_distribution(g1, prev, curr, p, q)
             reconstructed = _entry_distribution(g1, table, prev, curr)
@@ -118,7 +118,7 @@ class TestAliasTable:
         g = Graph(pairs)
         ids, dense = g.node_list, g.dense_index
         for p, q in [(0.25, 4.0), (1.0, 1.0), (4.0, 0.25)]:
-            table = build_alias_table(g, p, q)
+            table = build_alias_table(sorted_neighbors(g), p, q)
             for prev, curr in table:
                 expected = _expected_distribution(g, ids[prev], ids[curr], p, q)
                 reconstructed = _entry_distribution(g, table, prev, curr)
@@ -131,12 +131,12 @@ class TestAliasDraw:
 
     def test_point_mass(self):
         g = Graph([(0, 1)])
-        table = build_alias_table(g, 1.0, 1.0)
+        table = build_alias_table(sorted_neighbors(g), 1.0, 1.0)
         rng = random.Random(0)
         assert all(nxt == 0 for nxt in _draws_after(g, table, 0, 1, 100, rng))
 
     def test_frequencies_match_distribution(self, g1):
-        table = build_alias_table(g1, p=1.0, q=2.0)
+        table = build_alias_table(sorted_neighbors(g1), p=1.0, q=2.0)
         rng = random.Random(1)
         draws = 100_000
         counts = Counter(_draws_after(g1, table, 0, 1, draws, rng))
@@ -147,7 +147,7 @@ class TestAliasDraw:
         from scipy.stats import chisquare
 
         g = Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])  # K4
-        table = build_alias_table(g, 1.0, 1.0)
+        table = build_alias_table(sorted_neighbors(g), 1.0, 1.0)
         # entry (0,1): N(1) = {0,2,3}, all mutual -> uniform
         rng = random.Random(2)
         draws = 100_000
@@ -159,26 +159,27 @@ class TestAliasDraw:
 class TestWeightedWalk:
     def test_single_edge_alternates(self):
         g = Graph([(0, 1)])
-        table = build_alias_table(g, 1.0, 1.0)
-        walk = weighted_walk(sorted_neighbors(g), table, 0, 10, random.Random(0))
+        nbrs = sorted_neighbors(g)
+        walk = weighted_walk(nbrs, build_alias_table(nbrs, 1.0, 1.0), 0, 10, random.Random(0))
         assert walk == [0, 1] * 5 + [0]
 
     def test_length_one(self, g1):
-        table = build_alias_table(g1, 1.0, 1.0)
-        walk = weighted_walk(sorted_neighbors(g1), table, 3, 1, random.Random(5))
+        nbrs = sorted_neighbors(g1)
+        walk = weighted_walk(nbrs, build_alias_table(nbrs, 1.0, 1.0), 3, 1, random.Random(5))
         assert len(walk) == 2
         assert walk[0] == 3
         assert walk[1] in neighbor_sets(g1)[3]
 
     def test_unknown_start(self, g1):
-        table = build_alias_table(g1, 1.0, 1.0)
+        nbrs = sorted_neighbors(g1)
+        table = build_alias_table(nbrs, 1.0, 1.0)
         with pytest.raises(KeyError):
-            weighted_walk(sorted_neighbors(g1), table, 99, 3, random.Random(0))
+            weighted_walk(nbrs, table, 99, 3, random.Random(0))
 
     def test_steps_out_of_node1_uniform(self, g1):
         # with p=q=1 every transition out of node 1 is uniform over N(1)
-        table = build_alias_table(g1, 1.0, 1.0)
         nbrs = sorted_neighbors(g1)
+        table = build_alias_table(nbrs, 1.0, 1.0)
         rng = random.Random(3)
         counts = Counter()
         for _ in range(10_000):
@@ -191,8 +192,8 @@ class TestWeightedWalk:
             assert abs(counts[node] / total - 1 / 3) < 0.01
 
     def test_transitions_have_positive_weight(self, g1):
-        table = build_alias_table(g1, p=4.0, q=0.25)
         nbrs = sorted_neighbors(g1)
+        table = build_alias_table(nbrs, p=4.0, q=0.25)
         rng = random.Random(4)
         adjacency = neighbor_sets(g1)
         for start in g1.node_list:
