@@ -218,8 +218,10 @@ def run_experiment(
     Trial t uses partition seed base_seed + t. The trial's training graph is
     built once and its comparisons are drawn once; every level is built on
     that graph and scores those same draws, so per-trial differences are
-    within-partition. Level tags must be distinct: records are grouped by
-    tag. Deterministic end to end.
+    within-partition. Each level's scorer is dropped once its tally is
+    taken, before the next level is built, so at most one level's matrices
+    (an RWR resolvent is n x n) are alive at a time. Level tags must be
+    distinct: records are grouped by tag. Deterministic end to end.
     """
     check_split_settings(trials, test_fraction, comparisons)
     if not levels:
@@ -240,6 +242,7 @@ def run_experiment(
             scorer = factory.build(g_train, derive_seed(part_seed, "build", factory.tag))
             records.append(TrialRecord(part_seed, factory.tag,
                                        estimate_auc(g_train, draws, scorer)))
+            del scorer  # free an RWR level's n x n resolvent before the next is built
     return ExperimentResult(tuple(records))
 
 

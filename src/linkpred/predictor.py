@@ -115,7 +115,9 @@ def train_logistic(
     (F'SF / N + diag(reg_lambda, ..., reg_lambda, 0)) delta = g, for F the
     features with a ones column, S = diag(s(1 - s)) and g the gradient, then
     halves delta until the loss does not rise beyond rounding. The fit stops
-    once ||g|| < GRAD_TOL, or after ``epochs`` steps. Deterministic.
+    once ||g|| < GRAD_TOL, or after ``epochs`` steps. Raises ValueError when
+    a step or the loss it is checked against is not finite, as on features
+    near 1e160, rather than return NaN weights. Deterministic.
     """
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
@@ -137,17 +139,23 @@ def train_logistic(
         return rows.mean() + 0.5 * penalty @ theta**2
 
     theta = np.zeros(d + 1)
-    for _ in range(epochs):
-        grad = np.append(*logistic_gradient(theta[:d], theta[d], features, labels, reg_lambda))
-        if np.linalg.norm(grad) < GRAD_TOL:
-            break
-        s = _sigmoid(design @ theta)
-        step = np.linalg.solve((design.T * (s * (1.0 - s))) @ design / n + np.diag(penalty), grad)
-        # A rise within 1e-13 of the loss is rounding; a step halved to zero passes.
-        current = loss(theta)
-        while loss(theta - step) > current * (1.0 + 1e-13):
-            step /= 2.0
-        theta -= step
+    # Huge features overflow the gradient's norm and the Hessian; the
+    # finiteness check below reports that as a ValueError, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            grad = np.append(*logistic_gradient(theta[:d], theta[d], features, labels, reg_lambda))
+            if np.linalg.norm(grad) < GRAD_TOL:
+                break
+            s = _sigmoid(design @ theta)
+            step = np.linalg.solve((design.T * (s * (1.0 - s))) @ design / n + np.diag(penalty),
+                                   grad)
+            current = loss(theta)
+            if not (np.isfinite(current) and np.isfinite(step).all()):
+                raise ValueError(f"non-finite Newton step (loss {current}): features too large")
+            # A rise within 1e-13 of the loss is rounding; a step halved to zero passes.
+            while loss(theta - step) > current * (1.0 + 1e-13):
+                step /= 2.0
+            theta -= step
     return LogisticModel(weights=theta[:d], bias=float(theta[d]))
 
 

@@ -20,7 +20,9 @@ its score is exactly symmetric because its two terms swap under u <-> v.
 Entries between two components are exactly 0: every product reaching them
 multiplies a structural zero. N is written over P on its 2m edge entries
 only, and the inverse in place, since a second n x n buffer is page-faulted
-in on every call at about the products' cost.
+in on every call at about the products' cost. The same holds across levels:
+``evaluate.run_experiment`` drops each level's X before it builds the next,
+so a c sweep holds one resolvent at a time.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,21 @@ def test_golden_embedding_tallies():
     for r in result.records:
         tallies.setdefault(r.level, []).append((r.tally.wins, r.tally.ties, r.tally.losses))
     assert {level: tuple(t) for level, t in tallies.items()} == GOLDEN_EMBED
+
+
+def test_rwr_sweep_frees_each_level_before_the_next():
+    # One level's resolvent and its build buffer are two n x n float64
+    # matrices; holding the previous level's resolvent as well makes three.
+    g = datasets.usair_like(1)
+    n = Graph(split_edges(g, 0.1, 0).train).num_nodes
+    levels = [rwr_factory(c) for c in (0.1, 0.5, 0.9)]
+    tracemalloc.start()
+    try:
+        run_experiment(g, levels, trials=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 def test_repeated_level_tags_raise():

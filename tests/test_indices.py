@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 
 from conftest import edge_lists, neighbor_sets, random_connected_graph
-from linkpred import evaluate
-from linkpred.evaluate import run_experiment
-from linkpred.graph import Graph
+from linkpred import datasets, evaluate, indices
+from linkpred.evaluate import derive_seed, draw_comparisons, run_experiment
+from linkpred.graph import Graph, split_edges
 from linkpred.indices import LOCAL_INDICES
 from linkpred.pipelines import local_index_factory
 
@@ -153,6 +153,26 @@ def test_adamic_adar_guard_is_unreachable(pairs):
     A = g.adjacency_matrix
     assert np.all(g.degrees[np.nonzero(A[rows] & A[cols])[1]] >= 2)
 
+
+
+def test_adamic_adar_blocks_match_one_shot_einsum():
+    # The 1,000 non-edge draws of a usair_like trial repeat pairs and end in a
+    # partial block; every ordered pair of a florida_like training graph spans
+    # many blocks. The one-shot einsum over all pairs is the reference.
+    partition = split_edges(datasets.usair_like(1), 0.1, 0)
+    usair = Graph(partition.train)
+    draws = draw_comparisons(partition, usair, 1000, derive_seed(0, "auc"))
+    florida = Graph(split_edges(datasets.florida_like(1), 0.1, 0).train)
+    keys = draws[:, 2] * usair.num_nodes + draws[:, 3]
+    assert len(np.unique(keys)) < len(keys) and len(keys) % indices._AA_BLOCK
+    cases = ((usair, draws[:, 2], draws[:, 3]), (florida, *_ordered_pairs(florida)[1:]))
+    for g, rows, cols in cases:
+        assert len(rows) > indices._AA_BLOCK
+        k = g.degrees
+        weight = np.divide(1.0, np.log10(k), out=np.zeros(len(k)), where=k > 1)
+        A = g.adjacency_matrix
+        expected = np.einsum("ij,j->i", A[rows] & A[cols], weight)
+        assert np.array_equal(indices._adamic_adar(g, rows, cols), expected)
 
 
 @given(edge_lists())

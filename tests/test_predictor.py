@@ -226,6 +226,15 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match="finite"):
             train_logistic(X, y)
 
+    def test_overflowing_features_raise_instead_of_nan_weights(self):
+        # At 1e150 the fit is finite; at 1e160 the Hessian overflows.
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((200, 8))
+        y = (rng.random(200) < 0.5).astype(float)
+        assert np.isfinite(train_logistic(X * 1e150, y).weights).all()
+        with pytest.raises(ValueError, match="non-finite Newton step"):
+            train_logistic(X * 1e160, y)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             train_logistic(np.zeros((3, 2)), np.zeros(4))
