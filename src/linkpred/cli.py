@@ -173,11 +173,12 @@ def cmd_auc(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    params, config = _walk_params(args), _train_config(args, seed=args.seed)
+    seed = abs(args.seed)  # the walks' and SGNS's Generators take seeds >= 0
+    params, config = _walk_params(args), _train_config(args, seed=seed)
     graph = _load(args.edgelist)
     if graph.num_edges == 0:
         raise TooFewEdgesError("no edges to embed")
-    corpus = generate_corpus(graph, params, args.seed)
+    corpus = generate_corpus(graph, params, seed)
     model = train(corpus, config)
     for epoch, loss in enumerate(model.epoch_losses, start=1):
         print(f"epoch {epoch}: mean loss {loss:.6f}")

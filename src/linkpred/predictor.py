@@ -1,8 +1,9 @@
-"""Edge scores from node embeddings: feature operators plus a logistic classifier."""
+"""Edge scores from node embeddings: feature operators plus a logistic classifier,
+fit on every training edge and as many non-edges drawn in batch from a numpy
+Generator."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,12 @@ def build_training_set(
     """Balanced classifier data: every edge of ``g_train`` plus as many sampled
     non-edges, featurized from ``vectors`` (row i is the node at dense index i).
 
-    Negatives are distinct unordered non-edges of the training graph, drawn
-    by rejection; they may coincide with withheld test edges, which the
-    scorer never sees. Raises :class:`TooFewEdgesError` when the graph has
-    no edge or fewer non-edges than edges. Deterministic for a fixed seed.
+    Negatives are a uniform random sample of distinct unordered non-edges of
+    the training graph: node pairs drawn in rounds from one numpy Generator,
+    the self-pairs and edges dropped, and each repeat after its first draw.
+    They may coincide with withheld test edges, which the scorer never sees.
+    Raises :class:`TooFewEdgesError` when the graph has no edge or fewer
+    non-edges than edges. Deterministic for a fixed non-negative seed.
     """
     wanted = g_train.num_edges
     if not wanted:
@@ -50,17 +53,15 @@ def build_training_set(
         raise TooFewEdgesError(
             f"graph too dense: {available} distinct non-edges available, need {wanted}"
         )
-    rng = random.Random(seed)
-    A = g_train.adjacency_matrix
-    pairs = g_train.edges.tolist()
-    seen: set[tuple[int, int]] = set()
-    while len(pairs) < 2 * wanted:
-        i, j = rng.randrange(n_nodes), rng.randrange(n_nodes)
-        key = (min(i, j), max(i, j))
-        if i != j and key not in seen and not A[i, j]:
-            seen.add(key)
-            pairs.append((i, j))
-    rows, cols = np.array(pairs).T
+    rng = np.random.default_rng(seed)
+    keys = np.empty(0, dtype=np.int64)  # min * n + max of each negative, first-seen order
+    while len(keys) < wanted:
+        lo, hi = np.sort(rng.integers(n_nodes, size=(2, 2 * wanted)), axis=0)
+        valid = (lo != hi) & ~g_train.adjacency_matrix[lo, hi]
+        keys = np.concatenate((keys, lo[valid] * n_nodes + hi[valid]))
+        keys = keys[np.sort(np.unique(keys, return_index=True)[1])]
+    negatives = np.column_stack(np.divmod(keys[:wanted], n_nodes))
+    rows, cols = np.concatenate((g_train.edges, negatives)).T
     features = edge_features(vectors, rows, cols, operator)
     labels = np.concatenate([np.ones(wanted), np.zeros(wanted)])
     return features, labels

@@ -1,15 +1,19 @@
 """Walk corpora for embedding training.
 
-Two samplers: second-order (p, q)-weighted walks with O(1) alias draws, and
+Two walk laws: second-order (p, q)-weighted walks with O(1) alias draws, and
 restart walks that jump back to their start node. A walk of length ``l``
 visits ``l + 1`` nodes (start plus l steps). Every node in a walk, a row or
-a table key is a dense index: a position in ``Graph.nodes``.
+a table entry is a dense index: a position in ``Graph.nodes``.
+
+Neighbor rows are CSR arrays ``(indptr, targets)``: the neighbors of x are
+``targets[indptr[x]:indptr[x + 1]]``, ascending, and a position in
+``targets`` is one directed move. :func:`generate_corpus` moves every walker
+of the corpus one step per round, all drawn from one numpy Generator.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +21,6 @@ import numpy as np
 from .graph import Graph
 
 Walk = list[int]
-# Each dense index's neighbors, ascending by node id; the samplers' column order.
-Neighbors = dict[int, tuple[int, ...]]
-# (prev, curr) -> (prob, alias): column i of nbrs[curr] is kept with
-# probability prob[i] and otherwise replaced by the node alias[i].
-AliasTable = dict[tuple[int, int], tuple[list[float], list[int]]]
 
 
 @dataclass(frozen=True)
@@ -60,14 +59,10 @@ def _check_p_q(p: float, q: float) -> None:
                 f"{name} must be positive and finite with a finite reciprocal, got {x!r}")
 
 
-def sorted_neighbors(g: Graph) -> Neighbors:
-    """Neighbor rows keyed by dense index, each ascending by node id: both edge
-    orientations sorted by (source, target's id rank), cut at the degree offsets."""
-    n, rank = g.num_nodes, np.argsort(np.argsort(g.nodes))
-    ends = np.concatenate((g.edges, g.edges[:, ::-1]))
-    targets = ends[np.argsort(ends[:, 0] * n + rank[ends[:, 1]]), 1].tolist()
-    stops = np.cumsum(g.degrees).tolist()
-    return {x: tuple(targets[a:b]) for x, (a, b) in enumerate(zip([0, *stops], stops))}
+def sorted_neighbors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, targets)``: each dense index's neighbors, ascending, as CSR rows."""
+    indptr = np.concatenate(([0], np.cumsum(g.degrees)))
+    return indptr, np.nonzero(g.adjacency_matrix)[1]
 
 
 def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
@@ -97,71 +92,62 @@ def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
     return prob, alias
 
 
-def build_alias_table(nbrs: Neighbors, p: float, q: float) -> AliasTable:
-    """Precompute the alias columns for both orientations of every edge of the
-    graph whose :func:`sorted_neighbors` rows are ``nbrs``.
+def build_alias_table(g: Graph, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat alias columns ``(start, prob, alias)`` for every directed move of ``g``.
 
-    For the directed orientation (t, x) the distribution over N(x) weights a
-    neighbor 1/p if it is t itself, 1 if it is also a neighbor of t, and 1/q
+    Slot s is the move t -> x at position s of :func:`sorted_neighbors`'
+    ``targets``. It owns the entries ``start[s] + i``, one for each column i
+    of x's row: the walker keeps column i with probability ``prob`` there and
+    otherwise takes the column ``alias`` there. The law over x's neighbors w
+    weights w 1/p if it is t itself, 1 if it is also a neighbor of t, and 1/q
     otherwise, normalized.
     """
     _check_p_q(p, q)
-    members = {x: set(row) for x, row in nbrs.items()}
-    table: AliasTable = {}
-    for curr, row in nbrs.items():
-        for prev in row:
-            prev_nbrs = members[prev]
-            weights = [
-                1.0 / p if w == prev else 1.0 if w in prev_nbrs else 1.0 / q
-                for w in row
-            ]
-            prob, alias = _vose(weights)
-            table[(prev, curr)] = (prob, [row[i] for i in alias])
-    return table
-
-
-def weighted_walk(
-    nbrs: Neighbors, table: AliasTable, x: int, length: int, rng: random.Random
-) -> Walk:
-    """Second-order walk from dense index x: first step uniform, then O(1)
-    alias draws (a uniform column, then keep it or take its alias)."""
-    first = nbrs[x]  # an unknown start raises KeyError even at length 0
-    walk = [x, rng.choice(first)] if length else [x]
-    for _ in range(length - 1):
-        prev, curr = walk[-2], walk[-1]
-        prob, alias = table[(prev, curr)]
-        row = nbrs[curr]
-        i = rng.randrange(len(row))
-        walk.append(row[i] if rng.random() < prob[i] else alias[i])
-    return walk
-
-
-def restart_walk(nbrs: Neighbors, x: int, length: int, c: float, rng: random.Random) -> Walk:
-    """Walk from dense index x that moves to a uniform neighbor with
-    probability c and otherwise returns to x."""
-    if x not in nbrs:
-        raise KeyError(x)
-    walk = [x]
-    for _ in range(length):
-        walk.append(rng.choice(nbrs[walk[-1]]) if rng.random() < c else x)
-    return walk
+    indptr, targets = sorted_neighbors(g)
+    degree = np.diff(indptr)
+    sizes = degree[targets]
+    start = np.cumsum(sizes) - sizes
+    slot = np.repeat(np.arange(len(targets)), sizes)  # each entry's slot
+    w = targets[indptr[targets[slot]] + np.arange(len(slot)) - start[slot]]
+    t = np.repeat(np.arange(g.num_nodes), degree)[slot]
+    weights = np.where(w == t, 1.0 / p, np.where(g.adjacency_matrix[t, w], 1.0, 1.0 / q))
+    weights, prob, alias = weights.tolist(), [], []
+    for a, b in zip(start.tolist(), (start + sizes).tolist()):
+        slot_prob, slot_alias = _vose(weights[a:b])
+        prob += slot_prob
+        alias += slot_alias
+    return start, np.array(prob), np.array(alias, dtype=np.int64)
 
 
 def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
-    """r walks per start node, iterated as r outer passes over the dense indices.
+    """r walks per start node, ordered as r passes over the dense indices.
 
-    Deterministic for a fixed seed; one RNG drives the whole corpus.
+    All r·n walkers step together, one round per step, from one
+    ``np.random.default_rng(seed)``; ``seed`` must be non-negative. Each step
+    draws a uniform column of the walker's row. A weighted walker then keeps
+    that column or takes its alias, reading the slot of its last move (its
+    first step stays uniform). A restart walker moves there with probability
+    c and otherwise returns to its start.
     """
-    rng = random.Random(seed)
-    nbrs = sorted_neighbors(g)
-    table = None
+    rng = np.random.default_rng(seed)
+    indptr, targets = sorted_neighbors(g)
+    degree = np.diff(indptr)
+    homes = np.tile(np.arange(g.num_nodes), params.walks_per_node)
+    walks = np.empty((len(homes), params.length + 1), dtype=np.int64)
+    walks[:, 0] = homes
     if params.mode == "alias":
-        table = build_alias_table(nbrs, params.p, params.q)
-    corpus: list[Walk] = []
-    for _ in range(params.walks_per_node):
-        for x in range(g.num_nodes):
-            if table is not None:
-                corpus.append(weighted_walk(nbrs, table, x, params.length, rng))
-            else:
-                corpus.append(restart_walk(nbrs, x, params.length, params.c, rng))
-    return corpus
+        start, prob, alias = build_alias_table(g, params.p, params.q)
+    slot = None
+    for step in range(1, params.length + 1):
+        curr = walks[:, step - 1]
+        col = rng.integers(degree[curr])
+        if params.mode == "restart":
+            moved = targets[indptr[curr] + col]
+            walks[:, step] = np.where(rng.random(len(homes)) < params.c, moved, homes)
+            continue
+        if slot is not None:
+            entry = start[slot] + col
+            col = np.where(rng.random(len(homes)) < prob[entry], col, alias[entry])
+        slot = indptr[curr] + col
+        walks[:, step] = targets[slot]
+    return walks.tolist()

@@ -127,6 +127,14 @@ def test_embed_writes_graph_nodes_with_their_rows(tmp_path, capsys):
     assert np.array_equal(vectors, model.input_vectors)
 
 
+def test_embed_negative_seed_embeds_as_its_absolute_value(tmp_path):
+    edges = _chesapeake(tmp_path)
+    for seed in ("-3", "3"):
+        out = str(tmp_path / f"seed{seed}.emb")
+        assert main(["embed", edges, *EMBED_FLAGS, "--seed", seed, "--out", out]) == EXIT_OK
+    assert (tmp_path / "seed-3.emb").read_bytes() == (tmp_path / "seed3.emb").read_bytes()
+
+
 @pytest.mark.parametrize("flag", [["--operator", "average"], ["--lambda", "5"],
                                   ["--clf-lr", "9"], ["--clf-epochs", "3"]])
 def test_embed_rejects_classifier_flags(tmp_path, capsys, flag):

@@ -59,9 +59,9 @@ GOLDEN_LEVELS = [local_index_factory(k) for k in LOCAL_INDICES] + [
 # Per-trial (wins, ties, losses) of run_experiment(chesapeake_like(),
 # EMBED_LEVELS, trials=3), recorded the same way as GOLDEN.
 GOLDEN_EMBED = {
-    "hadamard": ((621, 5, 374), (656, 6, 338), (643, 6, 351)),
-    "average": ((665, 5, 330), (605, 6, 389), (684, 6, 310)),
-    "abs_diff": ((593, 5, 402), (520, 6, 474), (522, 6, 472)),
+    "hadamard": ((718, 5, 277), (576, 6, 418), (657, 6, 337)),
+    "average": ((665, 5, 330), (611, 6, 383), (716, 6, 278)),
+    "abs_diff": ((642, 5, 353), (626, 6, 368), (498, 6, 496)),
 }
 EMBED_LEVELS = [
     embedding_factory(WalkParams(10, 2), TrainConfig(dim=16, window=3, epochs=2), op, tag=op)

@@ -1,14 +1,12 @@
-import random
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import neighbor_sets
-from linkpred import datasets
-from linkpred.graph import Graph, split_edges
+from linkpred.graph import Graph
 from linkpred.predictor import (
     GRAD_TOL,
-    OPERATORS,
     LogisticModel,
     build_training_set,
     edge_features,
@@ -79,39 +77,21 @@ class TestBuildTrainingSet:
         assert len(negatives) == 5
         assert set(negatives) == non_edges
 
-    @staticmethod
-    def _reference_set(g, vectors, operator, seed):
-        # The negatives drawn as node ids by rng.choice and keyed by frozenset,
-        # then mapped to dense indices: the draw that build_training_set must match.
-        rng = random.Random(seed)
-        adjacency = neighbor_sets(g)
-        seen, negatives = set(), []
-        while len(negatives) < g.num_edges:
-            u = rng.choice(g.node_list)
-            v = rng.choice(g.node_list)
-            if u == v or v in adjacency[u] or frozenset((u, v)) in seen:
-                continue
-            seen.add(frozenset((u, v)))
-            negatives.append((u, v))
-        rows, cols = np.array([(g.dense_index[u], g.dense_index[v])
-                               for u, v in (*g.edge_list, *negatives)]).T
-        labels = np.concatenate([np.ones(g.num_edges), np.zeros(g.num_edges)])
-        return edge_features(vectors, rows, cols, operator), labels
-
-    def test_matches_node_id_draw(self):
-        graphs = [Graph(split_edges(datasets.chesapeake_like(), 0.1, p).train)
-                  for p in range(5)]
-        graphs.append(Graph([(i, (i + 1) % 5) for i in range(5)]))
-        graphs.append(Graph([(40, 7), (7, 23), (23, 2), (2, 91), (91, 15)]))
-        rng = np.random.default_rng(8)
-        for g in graphs:
-            vectors = rng.normal(size=(g.num_nodes, 6))
-            for seed in (0, 1, 17, 2023):
-                for operator in OPERATORS:
-                    X, y = build_training_set(g, vectors, operator, seed=seed)
-                    X_ref, y_ref = self._reference_set(g, vectors, operator, seed)
-                    assert np.array_equal(X, X_ref)
-                    assert np.array_equal(y, y_ref)
+    def test_negatives_are_uniform_over_non_edges(self):
+        # A 6-path has 5 edges and 10 non-edges, so a uniform sample of 5
+        # distinct non-edges holds each one with probability 5/10. Count each
+        # seed's set, so that a sample with repeats (which would hold a
+        # given non-edge less often) stands out.
+        g = Graph([(i, i + 1) for i in range(5)])
+        seeds, share = 2000, 5 / 10
+        counts = Counter()
+        for seed in range(seeds):
+            X, y = build_training_set(g, np.eye(6), operator="average", seed=seed)
+            counts.update({frozenset(np.flatnonzero(row)) for row in X[y == 0]})
+        assert counts.keys() == {frozenset((u, v)) for u in range(6) for v in range(u + 2, 6)}
+        sigma = math.sqrt(seeds * share * (1 - share))
+        for pair, count in counts.items():
+            assert abs(count - seeds * share) < 4 * sigma, sorted(pair)
 
     def test_complete_graph_errors(self):
         pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]

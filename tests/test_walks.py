@@ -1,22 +1,16 @@
 import hashlib
 import math
-import random
-from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 
 from conftest import SHUFFLED_RING_EDGES, edge_lists, neighbor_sets
 from linkpred import datasets
 from linkpred.graph import Graph
-from linkpred.walks import (
-    WalkParams,
-    build_alias_table,
-    generate_corpus,
-    restart_walk,
-    sorted_neighbors,
-    weighted_walk,
-)
+from linkpred.walks import WalkParams, build_alias_table, generate_corpus, sorted_neighbors
+
+ALIAS_SETTINGS = [(0.25, 4.0), (1.0, 1.0), (4.0, 0.25)]
 
 
 def _expected_distribution(g, prev, curr, p, q):
@@ -34,80 +28,96 @@ def _expected_distribution(g, prev, curr, p, q):
     return {w: weight / total for w, weight in weights.items()}
 
 
-def alias_distribution(row, prob, alias):
-    """Sampling distribution of the alias columns over ``row``, exactly.
+def _slot_distribution(g, table, prev, curr):
+    """Exact law of the step after the move prev -> curr (dense indices), read
+    from the flat alias columns.
 
-    Column i contributes prob[i]/n to its own node row[i] and
-    (1 - prob[i])/n to its alias node; summing recovers the normalized
-    weights.
+    The move's slot owns one entry per column i of curr's row; column i
+    contributes prob/k to its own node and (1 - prob)/k to the node at its
+    alias column. Summing recovers the normalized weights.
     """
-    n = len(row)
+    indptr, targets = sorted_neighbors(g)
+    start, prob, alias = table
+    slot = indptr[prev] + targets[indptr[prev]:indptr[prev + 1]].tolist().index(curr)
+    row = targets[indptr[curr]:indptr[curr + 1]].tolist()
     mass = dict.fromkeys(row, 0.0)
-    for node, pr, other in zip(row, prob, alias):
-        mass[node] += pr / n
-        mass[other] += (1.0 - pr) / n
+    for i, node in enumerate(row):
+        entry = start[slot] + i
+        mass[node] += prob[entry] / len(row)
+        mass[row[alias[entry]]] += (1.0 - prob[entry]) / len(row)
     return mass
 
 
-def _entry_distribution(g, table, prev, curr):
-    return alias_distribution(sorted_neighbors(g)[curr], *table[(prev, curr)])
+def _moves(g):
+    """Every directed move (prev, curr) of ``g`` in dense indices, both orientations."""
+    return [tuple(move) for move in np.concatenate((g.edges, g.edges[:, ::-1])).tolist()]
 
 
-def _draws_after(g, table, prev, curr, draws, rng):
-    """Nodes that length-2 walks from prev take right after stepping to curr."""
-    nbrs = sorted_neighbors(g)
-    out = []
-    while len(out) < draws:
-        walk = weighted_walk(nbrs, table, prev, 2, rng)
-        if walk[1] == curr:
-            out.append(walk[2])
-    return out
+def _triples(corpus):
+    """(prev, curr, next) rows of every two consecutive steps of ``corpus``."""
+    return np.lib.stride_tricks.sliding_window_view(np.array(corpus), 3, axis=1).reshape(-1, 3)
+
+
+def _steps_after(triples, prev, curr):
+    """Every node a walker takes right after the move prev -> curr.
+
+    By the Markov property of (prev, curr) these are independent draws from
+    the step's law, wherever in a walk the move falls.
+    """
+    return triples[(triples[:, 0] == prev) & (triples[:, 1] == curr), 2]
+
+
+def _transitions(corpus):
+    """(from, to) rows of every step of ``corpus``."""
+    walks = np.array(corpus)
+    return np.column_stack((walks[:, :-1].ravel(), walks[:, 1:].ravel()))
 
 
 class TestAliasTable:
     def test_g1_entry_exact(self, g1):
-        # entry (0,1) with p=1, q=2: N(1)={0,2,3}; 0 is the previous node,
+        # move (0,1) with p=1, q=2: N(1)={0,2,3}; 0 is the previous node,
         # 2 is a mutual neighbor, 3 is not adjacent to 0 -> [1, 1, 0.5]
-        table = build_alias_table(sorted_neighbors(g1), p=1.0, q=2.0)
-        dist = _entry_distribution(g1, table, 0, 1)
+        dist = _slot_distribution(g1, build_alias_table(g1, p=1.0, q=2.0), 0, 1)
         assert dist[0] == pytest.approx(0.4, abs=1e-12)
         assert dist[2] == pytest.approx(0.4, abs=1e-12)
         assert dist[3] == pytest.approx(0.2, abs=1e-12)
 
     def test_uniform_weights_prob_all_one(self):
         # triangle with p=q=1: every neighbor weight equal, Vose degenerates
-        g = Graph([(0, 1), (0, 2), (1, 2)])
-        table = build_alias_table(sorted_neighbors(g), p=1.0, q=1.0)
-        for prob, _ in table.values():
-            assert all(pr == 1.0 for pr in prob)
+        _, prob, _ = build_alias_table(Graph([(0, 1), (0, 2), (1, 2)]), p=1.0, q=1.0)
+        assert len(prob) == 6 * 2
+        assert np.all(prob == 1.0)
 
     def test_single_edge_point_mass(self):
         g = Graph([(0, 1)])
-        table = build_alias_table(sorted_neighbors(g), p=1.0, q=1.0)
-        dist = _entry_distribution(g, table, 0, 1)
-        assert dist == {0: pytest.approx(1.0)}
+        assert _slot_distribution(g, build_alias_table(g, 1.0, 1.0), 0, 1) == {0: 1.0}
 
     def test_covers_both_orientations(self, g1):
-        table = build_alias_table(sorted_neighbors(g1), 1.0, 1.0)
-        assert len(table) == 2 * g1.num_edges
-        for u, v in g1.edge_list:
-            assert (u, v) in table
-            assert (v, u) in table
+        # one slot per directed move, each owning one entry per column of its target's row
+        indptr, targets = sorted_neighbors(g1)
+        start, prob, alias = build_alias_table(g1, 1.0, 1.0)
+        sources = np.repeat(np.arange(g1.num_nodes), np.diff(indptr))
+        assert len(start) == 2 * g1.num_edges
+        assert sorted(zip(sources.tolist(), targets.tolist())) == sorted(_moves(g1))
+        sizes = np.diff(indptr)[targets]
+        assert np.array_equal(start, np.cumsum(sizes) - sizes)
+        assert len(prob) == len(alias) == sizes.sum()
+        assert np.all((0 <= alias) & (alias < np.repeat(sizes, sizes)))
 
     @pytest.mark.parametrize("p,q", [(0.0, 1.0), (1.0, -2.0), (math.inf, math.inf),
                                      (math.nan, 1.0), (1.0, math.nan), (1e-310, 1.0),
                                      (1.0, 1e-310), (1e-308, 2e-308)])
     def test_invalid_p_q(self, g1, p, q):
         with pytest.raises(ValueError):
-            build_alias_table(sorted_neighbors(g1), p, q)
+            build_alias_table(g1, p, q)
 
     @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("q", [0.25, 1.0, 4.0])
     def test_reconstruction_identity_g1(self, g1, p, q):
-        table = build_alias_table(sorted_neighbors(g1), p, q)
-        for prev, curr in table:
+        table = build_alias_table(g1, p, q)
+        for prev, curr in _moves(g1):
             expected = _expected_distribution(g1, prev, curr, p, q)
-            reconstructed = _entry_distribution(g1, table, prev, curr)
+            reconstructed = _slot_distribution(g1, table, prev, curr)
             assert reconstructed.keys() == expected.keys()
             for node, mass in expected.items():
                 assert reconstructed[node] == pytest.approx(mass, abs=1e-12)
@@ -117,129 +127,112 @@ class TestAliasTable:
         # the oracle speaks node ids, the table dense indices
         g = Graph(pairs)
         ids, dense = g.node_list, g.dense_index
-        for p, q in [(0.25, 4.0), (1.0, 1.0), (4.0, 0.25)]:
-            table = build_alias_table(sorted_neighbors(g), p, q)
-            for prev, curr in table:
+        for p, q in ALIAS_SETTINGS:
+            table = build_alias_table(g, p, q)
+            for prev, curr in _moves(g):
                 expected = _expected_distribution(g, ids[prev], ids[curr], p, q)
-                reconstructed = _entry_distribution(g, table, prev, curr)
+                reconstructed = _slot_distribution(g, table, prev, curr)
+                assert reconstructed.keys() == {dense[node] for node in expected}
                 for node, mass in expected.items():
                     assert reconstructed[dense[node]] == pytest.approx(mass, abs=1e-12)
 
 
 class TestAliasDraw:
-    """The second and later steps of ``weighted_walk`` draw from the table."""
+    """The second and later steps of an alias-mode corpus draw from the table."""
 
     def test_point_mass(self):
-        g = Graph([(0, 1)])
-        table = build_alias_table(sorted_neighbors(g), 1.0, 1.0)
-        rng = random.Random(0)
-        assert all(nxt == 0 for nxt in _draws_after(g, table, 0, 1, 100, rng))
+        nxt = _steps_after(_triples(generate_corpus(Graph([(0, 1)]), WalkParams(4, 50), 0)), 0, 1)
+        assert len(nxt) > 0
+        assert np.all(nxt == 0)
 
     def test_frequencies_match_distribution(self, g1):
-        table = build_alias_table(sorted_neighbors(g1), p=1.0, q=2.0)
-        rng = random.Random(1)
-        draws = 100_000
-        counts = Counter(_draws_after(g1, table, 0, 1, draws, rng))
-        for node, mass in _entry_distribution(g1, table, 0, 1).items():
-            assert abs(counts[node] / draws - mass) < 0.01
+        corpus = generate_corpus(g1, WalkParams(20, 2000, p=1.0, q=2.0), seed=1)
+        nxt = _steps_after(_triples(corpus), 0, 1)
+        for node, mass in _expected_distribution(g1, 0, 1, 1.0, 2.0).items():
+            sigma = math.sqrt(mass * (1 - mass) / len(nxt))
+            assert abs(np.mean(nxt == node) - mass) < 4 * sigma
 
     def test_uniform_three_way_chi_square(self):
         from scipy.stats import chisquare
 
         g = Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])  # K4
-        table = build_alias_table(sorted_neighbors(g), 1.0, 1.0)
-        # entry (0,1): N(1) = {0,2,3}, all mutual -> uniform
-        rng = random.Random(2)
-        draws = 100_000
-        counts = Counter(_draws_after(g, table, 0, 1, draws, rng))
-        result = chisquare([counts[n] for n in sorted(counts)])
-        assert result.pvalue > 0.001
+        # move (0,1): N(1) = {0,2,3}, all mutual -> uniform
+        nxt = _steps_after(_triples(generate_corpus(g, WalkParams(20, 2000), seed=2)), 0, 1)
+        assert set(nxt.tolist()) == {0, 2, 3}
+        assert chisquare(np.bincount(nxt)[[0, 2, 3]]).pvalue > 0.001
+
+    @pytest.mark.parametrize("p,q", ALIAS_SETTINGS)
+    def test_one_step_chi_square(self, g1, p, q):
+        from scipy.stats import chisquare
+
+        # every move of g1 into a node of degree >= 2, against the exact node2vec law
+        triples = _triples(generate_corpus(g1, WalkParams(20, 2000, p=p, q=q), seed=3))
+        for prev, curr in _moves(g1):
+            expected = _expected_distribution(g1, prev, curr, p, q)
+            if len(expected) < 2:
+                continue
+            nxt = _steps_after(triples, prev, curr)
+            assert set(nxt.tolist()) <= expected.keys()
+            nodes = sorted(expected)
+            observed = [np.count_nonzero(nxt == node) for node in nodes]
+            wanted = [expected[node] * len(nxt) for node in nodes]
+            assert chisquare(observed, wanted).pvalue > 1e-4, (prev, curr)
 
 
 class TestWeightedWalk:
     def test_single_edge_alternates(self):
-        g = Graph([(0, 1)])
-        nbrs = sorted_neighbors(g)
-        walk = weighted_walk(nbrs, build_alias_table(nbrs, 1.0, 1.0), 0, 10, random.Random(0))
-        assert walk == [0, 1] * 5 + [0]
+        corpus = generate_corpus(Graph([(0, 1)]), WalkParams(10, 1), seed=0)
+        assert corpus == [[0, 1] * 5 + [0], [1, 0] * 5 + [1]]
 
     def test_length_one(self, g1):
-        nbrs = sorted_neighbors(g1)
-        walk = weighted_walk(nbrs, build_alias_table(nbrs, 1.0, 1.0), 3, 1, random.Random(5))
-        assert len(walk) == 2
-        assert walk[0] == 3
-        assert walk[1] in neighbor_sets(g1)[3]
-
-    def test_unknown_start(self, g1):
-        nbrs = sorted_neighbors(g1)
-        table = build_alias_table(nbrs, 1.0, 1.0)
-        with pytest.raises(KeyError):
-            weighted_walk(nbrs, table, 99, 3, random.Random(0))
+        adjacency = neighbor_sets(g1)
+        for x, y in generate_corpus(g1, WalkParams(1, 3), seed=5):
+            assert y in adjacency[x]
 
     def test_steps_out_of_node1_uniform(self, g1):
         # with p=q=1 every transition out of node 1 is uniform over N(1)
-        nbrs = sorted_neighbors(g1)
-        table = build_alias_table(nbrs, 1.0, 1.0)
-        rng = random.Random(3)
-        counts = Counter()
-        for _ in range(10_000):
-            walk = weighted_walk(nbrs, table, 0, 80, rng)
-            for prev, nxt in zip(walk, walk[1:]):
-                if prev == 1:
-                    counts[nxt] += 1
-        total = sum(counts.values())
+        moves = _transitions(generate_corpus(g1, WalkParams(80, 2000), seed=3))
+        out_of_1 = moves[moves[:, 0] == 1, 1]
         for node in (0, 2, 3):
-            assert abs(counts[node] / total - 1 / 3) < 0.01
+            assert abs(np.mean(out_of_1 == node) - 1 / 3) < 0.01
 
     def test_transitions_have_positive_weight(self, g1):
-        nbrs = sorted_neighbors(g1)
-        table = build_alias_table(nbrs, p=4.0, q=0.25)
-        rng = random.Random(4)
         adjacency = neighbor_sets(g1)
-        for start in g1.node_list:
-            walk = weighted_walk(nbrs, table, start, 30, rng)
+        for walk in generate_corpus(g1, WalkParams(30, 1, p=4.0, q=0.25), seed=4):
             for prev, curr, nxt in zip(walk, walk[1:], walk[2:]):
                 assert nxt in adjacency[curr]
                 assert _expected_distribution(g1, prev, curr, 4.0, 0.25)[nxt] > 0
 
 
+def _restart(length, walks_per_node, c):
+    return WalkParams(length, walks_per_node, c=c, mode="restart")
+
+
 class TestRestartWalk:
     def test_c_zero_stays_home(self, g1):
-        walk = restart_walk(sorted_neighbors(g1), 2, 5, 0.0, random.Random(0))
-        assert walk == [2, 2, 2, 2, 2, 2]
+        corpus = generate_corpus(g1, _restart(5, 1, 0.0), seed=0)
+        assert corpus == [[x] * 6 for x in range(g1.num_nodes)]
 
     def test_c_one_pure_walk(self):
-        g = Graph([(0, 1)])
-        walk = restart_walk(sorted_neighbors(g), 0, 6, 1.0, random.Random(0))
-        assert walk == [0, 1, 0, 1, 0, 1, 0]
-
-    def test_unknown_start(self, g1):
-        with pytest.raises(KeyError):
-            restart_walk(sorted_neighbors(g1), 99, 3, 0.5, random.Random(0))
-
-    @pytest.mark.parametrize("c", [0.0, 1.0])
-    def test_unknown_start_at_any_c(self, g1, c):
-        # c = 0 never looks a neighbor up, so the start is checked up front
-        with pytest.raises(KeyError):
-            restart_walk(sorted_neighbors(g1), 99, 3, c, random.Random(0))
+        corpus = generate_corpus(Graph([(0, 1)]), _restart(6, 1, 1.0), seed=0)
+        assert corpus == [[0, 1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1]]
 
     def test_composition_invariant(self, g1):
-        nbrs = sorted_neighbors(g1)
-        rng = random.Random(6)
         adjacency = neighbor_sets(g1)
-        for start in g1.node_list:
-            walk = restart_walk(nbrs, start, 50, 0.6, rng)
+        for walk in generate_corpus(g1, _restart(50, 1, 0.6), seed=6):
             for prev, nxt in zip(walk, walk[1:]):
-                assert nxt == start or nxt in adjacency[prev]
+                assert nxt == walk[0] or nxt in adjacency[prev]
 
     def test_restart_frequency_on_star(self):
-        # from the center, the next node is the center again iff the step
-        # restarted, so that transition frequency estimates 1 - c = 0.5
+        # a walker that started at the center is at the center again right
+        # after it left the center iff that step restarted: frequency 1 - c
         g = Graph([(0, i) for i in range(1, 5)])
-        walk = restart_walk(sorted_neighbors(g), 0, 100_000, 0.5, random.Random(7))
-        from_center = [nxt for prev, nxt in zip(walk, walk[1:]) if prev == 0]
-        frac_restart = sum(1 for nxt in from_center if nxt == 0) / len(from_center)
-        assert abs(frac_restart - 0.5) < 0.01
+        for c in (0.2, 0.7):
+            walks = np.array(generate_corpus(g, _restart(200, 100, c), seed=7))
+            moves = _transitions(walks[walks[:, 0] == 0])
+            back = moves[moves[:, 0] == 0, 1] == 0
+            sigma = math.sqrt(c * (1 - c) / len(back))
+            assert abs(back.mean() - (1 - c)) < 4 * sigma, c
 
 
 class TestGenerateCorpus:
@@ -268,8 +261,10 @@ class TestGenerateCorpus:
 
 
 # sha256 of repr(generate_corpus(g, params, seed=0)) mapped through g.nodes to
-# node ids. They pin the RNG draw order: any rewrite of the samplers must
-# reproduce each corpus byte for byte.
+# node ids. They pin the lockstep draw order: one Generator, one round per
+# step over all r·n walkers, a uniform column and then (after an alias walker's
+# first step, or for a restart walker) one uniform each. A change of that order
+# changes the corpora, though not their law; re-record them only with it.
 CORPUS_PARAMS = {
     "alias_p0.5_q2": WalkParams(12, 2, p=0.5, q=2.0),
     "uniform": WalkParams(10, 1),
@@ -277,17 +272,17 @@ CORPUS_PARAMS = {
 }
 CORPUS_SHA256 = {
     ("chesapeake_like", "alias_p0.5_q2"):
-        "b0efb9e8b9e902a24897c505c5eea189c8afce3b1a75db76beab8b929558ce1b",
+        "e1079e2a02e091a1f9b7ea8c795751003a529eb3ee2bb28d62a9d15fb01d8443",
     ("chesapeake_like", "uniform"):
-        "282cdd1e7f90a90d190507db35f1524e11037ec331ca6f0b1259c100eb1bd5d6",
+        "6eadfbe7a8e8690c1cd09efcb8664c017c70a10f31893a48f860f45c5da494ea",
     ("chesapeake_like", "restart_c0.7"):
-        "13a84643b0f50292ab0f604811d02215ef637fca3f35b8b77d0fa529f33458fb",
+        "fc34f1acffad61d6525978bbde202bcfb9a09c58d5dd2eb5b6349a7cbca19460",
     ("embedding_benchmark_graph", "alias_p0.5_q2"):
-        "94a99c8c8ebfc9643898d55adfbccfbcf792df1c7bd70260c972c301ce7b7e02",
+        "6e5c3e5c31390547966dc71e04cc78127ad96e8e90fcffdd2a0d85ffc3bb7e5a",
     ("embedding_benchmark_graph", "uniform"):
-        "a311f218fb0bfe8bfd915068ae2e46612b9bc315af114fcaf08868a1ac7cb164",
+        "176b8eb469f6400985e46ba83fcdfadf550a3d67e22d531490213f0f3f41af00",
     ("embedding_benchmark_graph", "restart_c0.7"):
-        "2a15ca924116b1098004ee7df0c8ea8b6f4ea838f9989c07b3293c38abf2ec19",
+        "ab1c5c69ff04be3da05e8ea99a3d483f2fb8d0e7e39a21cf58e9f159b3115a24",
 }
 
 
