@@ -145,7 +145,7 @@ def _run_and_report(args, factories, trials_path: str, summary_path: str | None)
     """Check the split flags, read the edge list, run the paired experiment and
     write its CSVs. Print each record for one trial, else each level's summary
     and its paired difference from the first."""
-    check_split_settings(args.trials, args.test_fraction, args.n)
+    check_split_settings(args.trials, args.test_fraction, args.n, args.seed)
     result = run_experiment(_load(args.edgelist), factories, trials=args.trials,
                             comparisons=args.n, test_fraction=args.test_fraction,
                             base_seed=args.seed)

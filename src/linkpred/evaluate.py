@@ -158,12 +158,19 @@ def estimate_auc(g_train: Graph, draws: np.ndarray, scorer: Scorer) -> AucTally:
     """Score each drawn pair on ``g_train`` and tally the comparisons.
 
     A withheld edge marked -1 scores 0. Any score that does not compare
-    (NaN) counts as a loss.
+    (NaN) counts as a loss. The withheld pairs are scored first, then the
+    non-edges. When no row is marked -1 (every withheld edge of a trial is
+    in its training graph, as in nearly all trials), the withheld columns
+    are scored as they are; otherwise only the present rows are scored,
+    into zeros.
     """
     pairs = scorer.pairs or _per_pair_batch(g_train, scorer.score)
-    present = draws[:, 0] >= 0
-    existing = np.zeros(len(draws))
-    existing[present] = pairs(draws[present, 0], draws[present, 1])
+    if draws[:, 0].min(initial=0) >= 0:
+        existing = pairs(draws[:, 0], draws[:, 1])
+    else:
+        present = draws[:, 0] >= 0
+        existing = np.zeros(len(draws))
+        existing[present] = pairs(draws[present, 0], draws[present, 1])
     nonexistent = pairs(draws[:, 2], draws[:, 3])
     wins = int(np.count_nonzero(existing > nonexistent))
     ties = int(np.count_nonzero(existing == nonexistent))
@@ -195,10 +202,19 @@ class ExperimentResult:
         return tuple(r.auc for r in self.records if r.level == level)
 
 
-def check_split_settings(trials: int, test_fraction: float, comparisons: int) -> None:
-    """Raise ValueError unless trials >= 1, 0 < test_fraction < 1 and comparisons >= 1."""
+def check_split_settings(
+    trials: int, test_fraction: float, comparisons: int, base_seed: int
+) -> None:
+    """Raise ValueError unless trials >= 1, 0 < test_fraction < 1, comparisons >= 1
+    and the trial seeds base_seed, ..., base_seed + trials - 1 have distinct
+    absolute values: a seed and its negative give the same partition, so
+    such trials would repeat one."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    if base_seed < 0 < base_seed + trials - 1:
+        raise ValueError(
+            f"trial seeds {base_seed}..{base_seed + trials - 1} include both -1 and 1; "
+            "a seed and its negative give the same partition")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if comparisons < 1:
@@ -215,15 +231,17 @@ def run_experiment(
 ) -> ExperimentResult:
     """Paired repeated-partition experiment.
 
-    Trial t uses partition seed base_seed + t. The trial's training graph is
-    built once and its comparisons are drawn once; every level is built on
-    that graph and scores those same draws, so per-trial differences are
-    within-partition. Each level's scorer is dropped once its tally is
-    taken, before the next level is built, so at most one level's matrices
-    (an RWR resolvent is n x n) are alive at a time. Level tags must be
-    distinct: records are grouped by tag. Deterministic end to end.
+    Trial t uses partition seed base_seed + t; no two trial seeds may share
+    an absolute value (see :func:`check_split_settings`). The trial's
+    training graph is built once and its comparisons are drawn once; every
+    level is built on that graph and scores those same draws, so per-trial
+    differences are within-partition. Each level's scorer is dropped once
+    its tally is taken, before the next level is built, so at most one
+    level's matrices (an RWR resolvent is n x n) are alive at a time. Level
+    tags must be distinct: records are grouped by tag. Deterministic end to
+    end.
     """
-    check_split_settings(trials, test_fraction, comparisons)
+    check_split_settings(trials, test_fraction, comparisons, base_seed)
     if not levels:
         raise ValueError("no levels to evaluate")
     tags = [factory.tag for factory in levels]

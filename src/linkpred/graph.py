@@ -33,15 +33,33 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``rank[i]``: the rank of ``values[i]`` among the distinct values, in
-    ascending order; ``first[r]``: the first position of the value of rank r."""
+    ascending order; ``first[r]``: the first position of the value of rank r.
+
+    Values that span at most twice their count (node ids of a graph: n ids
+    over 2m ends) are grouped by counting: first positions go into a
+    span-sized array, ranks are its running count of occupied slots. Wider
+    values (pair keys: span near n^2 over m keys) and empty input take one
+    sort. The span is taken from the min and max as Python ints, so int64
+    extremes cannot overflow it.
+    """
+    n = len(values)
+    if n:
+        lo = int(values.min())
+        span = int(values.max()) - lo + 1
+        if span <= 2 * n:
+            offset = values - lo
+            first = np.full(span, n)
+            np.minimum.at(first, offset, np.arange(n))
+            occupied = first < n
+            return (np.cumsum(occupied) - 1)[offset], first[occupied]
     order = np.argsort(values)  # not stable: ``first`` takes the minimum position
     ascending = values[order]
-    new = np.ones(len(values), dtype=bool)
+    new = np.ones(n, dtype=bool)
     new[1:] = ascending[1:] != ascending[:-1]
     rank = np.empty_like(order)
     rank[order] = np.cumsum(new) - 1
-    first = np.full(np.count_nonzero(new), len(values))
-    np.minimum.at(first, rank, np.arange(len(values)))
+    first = np.full(np.count_nonzero(new), n)
+    np.minimum.at(first, rank, np.arange(n))
     return rank, first
 
 
@@ -52,8 +70,10 @@ class Graph:
     is its dense index (id ranges may have gaps). ``edges``: the (m, 2) int64
     dense indices, one row per undirected edge in first-seen order and input
     orientation; duplicate pairs (either orientation) collapse to the first.
-    Each takes one sort (:func:`_groups`), of the ids or the pair keys. All else
-    is derived on first read and cached; all is read-only, as every scorer reads it.
+    Each is grouped by :func:`_groups`, of the ids or the pair keys: by
+    counting where the values are compact, as ids numbered from 0 are, else
+    by one sort. All else is derived on first read and cached; all is
+    read-only, as every scorer reads it.
     """
 
     def __init__(self, pairs: Union[Sequence[Edge], np.ndarray]):

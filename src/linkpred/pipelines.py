@@ -86,9 +86,7 @@ def embedding_factory(
         classifier = predictor.train_logistic(features, labels, reg_lambda, classifier_epochs)
 
         def pairs(rows, cols):
-            return predictor.predict(
-                classifier, predictor.edge_features(vectors, rows, cols, operator)
-            )
+            return predictor.predict_pairs(classifier, vectors, rows, cols, operator)
 
         return Scorer(tag, _one_pair(g_train, pairs), pairs)
 

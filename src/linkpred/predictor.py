@@ -160,6 +160,26 @@ def train_logistic(
     return LogisticModel(weights=theta[:d], bias=float(theta[d]))
 
 
+# Pairs per block of predict_pairs. Featurizing all 1,000 draws of a trial at
+# d = 128 builds (pairs x d) float64 temporaries of 1 MB each; 256 rows keep
+# them at 256 KB. A pair's score is the sum of its own row, so blocking
+# changes no value.
+_SCORE_BLOCK = 256
+
+
+def predict_pairs(
+    model: LogisticModel, vectors: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+    operator: str = "hadamard",
+) -> np.ndarray:
+    """:func:`predict` of the :func:`edge_features` of pairs (rows[i], cols[i]),
+    ``_SCORE_BLOCK`` pairs at a time."""
+    out = np.empty(len(rows))
+    for i in range(0, len(rows), _SCORE_BLOCK):
+        block = slice(i, i + _SCORE_BLOCK)
+        out[block] = predict(model, edge_features(vectors, rows[block], cols[block], operator))
+    return out
+
+
 def predict(model: LogisticModel, features: np.ndarray) -> np.ndarray:
     """Edge probability sigmoid(w . x + bias) of each feature row x, in [0, 1]."""
     if features.shape[1:] != model.weights.shape:

@@ -119,8 +119,10 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
     its initial vector and is never drawn as a negative. Input vectors start
     uniform in [-0.5/dim, 0.5/dim), output vectors at zero. Runs ``epochs``
     passes over the shuffled pair stream with the learning rate decaying
-    linearly from LR_INITIAL to LR_FINAL across all steps. Single-threaded
-    and deterministic for a fixed config seed.
+    linearly from LR_INITIAL to LR_FINAL across all steps. Raises
+    ValueError when either table holds a non-finite value at the end of an
+    epoch, rather than return vectors that would be written out as NaN.
+    Single-threaded and deterministic for a fixed config seed.
     """
     corpus = list(corpus)
     counts = np.bincount(np.fromiter(chain.from_iterable(corpus), dtype=np.int64))
@@ -143,7 +145,7 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
     decay_denom = max(total_steps - 1, 1)
     losses = []
     done = 0
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n_pairs)
         negatives = rng.choice(n_nodes, size=(n_pairs, config.negatives), p=noise)
         lrs = LR_INITIAL + (LR_FINAL - LR_INITIAL) * (
@@ -151,8 +153,13 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
         )
         rows = np.column_stack((contexts_arr[order], negatives))
         epoch_loss = 0.0
-        for cen, pair_rows, lr in zip(centers_arr[order].tolist(), rows, lrs.tolist()):
-            epoch_loss += _update(inp, out, cen, pair_rows, lr)
+        # Diverging updates overflow to inf and then NaN; the check after the
+        # epoch reports that as a ValueError, not a warning per pair.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for cen, pair_rows, lr in zip(centers_arr[order].tolist(), rows, lrs.tolist()):
+                epoch_loss += _update(inp, out, cen, pair_rows, lr)
+        if not (np.isfinite(inp).all() and np.isfinite(out).all()):
+            raise ValueError(f"skip-gram diverged: non-finite vectors after epoch {epoch}")
         losses.append(epoch_loss / n_pairs)
         done += n_pairs
     return EmbeddingModel(input_vectors=inp, output_vectors=out, epoch_losses=tuple(losses))

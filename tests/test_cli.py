@@ -8,7 +8,7 @@ import pytest
 
 import linkpred
 from conftest import SHUFFLED_RING_EDGES
-from linkpred import datasets
+from linkpred import datasets, skipgram
 from linkpred.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from linkpred.graph import Graph, split_edges
 from linkpred.skipgram import TrainConfig, train
@@ -133,6 +133,14 @@ def test_embed_negative_seed_embeds_as_its_absolute_value(tmp_path):
         out = str(tmp_path / f"seed{seed}.emb")
         assert main(["embed", edges, *EMBED_FLAGS, "--seed", seed, "--out", out]) == EXIT_OK
     assert (tmp_path / "seed-3.emb").read_bytes() == (tmp_path / "seed3.emb").read_bytes()
+
+
+def test_diverging_embedding_is_an_error_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(skipgram, "LR_INITIAL", 1e300)
+    out = tmp_path / "nan.emb"
+    assert main(["embed", _chesapeake(tmp_path), *EMBED_FLAGS, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: skip-gram diverged: non-finite vectors")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag", [["--operator", "average"], ["--lambda", "5"],
@@ -281,8 +289,11 @@ def test_sweep_rejects_bad_values_before_reading(tmp_path, capsys, flags, err):
      "error: need at least one comparison\n"),
     (["sweep", "--param", "c", "--values", "0.5", "--trials", "0", "--out", "s.csv"],
      "error: need at least one trial\n"),
+    (["auc", "--method", "cn", "--seed", "-2", "--trials", "5", "--out", "a"],
+     "error: trial seeds -2..2 include both -1 and 1; "
+     "a seed and its negative give the same partition\n"),
 ], ids=["auc_rwr_c", "sweep_rwr_c", "auc_lambda", "embed_d", "auc_trials", "auc_test_fraction",
-        "auc_n", "sweep_trials"])
+        "auc_n", "sweep_trials", "auc_seed_clash"])
 def test_flags_are_checked_before_reading(tmp_path, capsys, monkeypatch, argv, err):
     # The edge list does not exist: every flag is checked before it is read.
     monkeypatch.chdir(tmp_path)

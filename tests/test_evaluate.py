@@ -204,6 +204,50 @@ def test_score_is_the_batch_form_on_one_pair():
         assert scorer.pairs(rows, cols).tolist() == [scorer.score(g, u, v) for u, v in ordered]
 
 
+def _masked_tally(draws, scorer):
+    """The tally of every row through the mask: a withheld pair marked -1
+    scores 0, and the present ones are scored into zeros."""
+    present = draws[:, 0] >= 0
+    existing = np.zeros(len(draws))
+    existing[present] = scorer.pairs(draws[present, 0], draws[present, 1])
+    nonexistent = scorer.pairs(draws[:, 2], draws[:, 3])
+    wins = int(np.count_nonzero(existing > nonexistent))
+    ties = int(np.count_nonzero(existing == nonexistent))
+    return AucTally(wins, ties, len(draws) - wins - ties)
+
+
+@pytest.mark.parametrize("name, levels", [("usair_like", GOLDEN_LEVELS),
+                                          ("chesapeake_like", GOLDEN_LEVELS + EMBED_LEVELS)])
+def test_tally_matches_the_masked_reference(name, levels):
+    # Draws with every withheld edge present take the unmasked path; the same
+    # draws with every seventh row marked -1 take the masked one.
+    partition = split_edges(getattr(datasets, name)(1), 0.1, 0)
+    g_train = Graph(partition.train)
+    present = draw_comparisons(partition, g_train, 1000, seed=3)
+    assert present.min() >= 0
+    absent = present.copy()
+    absent[::7, :2] = -1
+    for factory in levels:
+        scorer = factory.build(g_train, 0)
+        for draws in (present, absent):
+            assert estimate_auc(g_train, draws, scorer) == _masked_tally(draws, scorer), factory.tag
+
+
+@pytest.mark.parametrize("base_seed, trials", [(-1, 3), (-2, 5), (-9, 11)])
+def test_trial_seeds_sharing_an_absolute_value_raise(base_seed, trials):
+    # split_edges(g, f, s) == split_edges(g, f, -s): such trials repeat a partition.
+    with pytest.raises(ValueError, match="same partition"):
+        run_experiment(datasets.chesapeake_like(), GOLDEN_LEVELS[:1], trials=trials,
+                       base_seed=base_seed)
+
+
+@pytest.mark.parametrize("base_seed, trials", [(-3, 3), (-1, 2), (0, 3), (-5, 1)])
+def test_trial_seeds_with_distinct_absolute_values_run(base_seed, trials):
+    result = run_experiment(datasets.chesapeake_like(), GOLDEN_LEVELS[:1], trials=trials,
+                            comparisons=10, base_seed=base_seed)
+    assert [r.trial_seed for r in result.records] == list(range(base_seed, base_seed + trials))
+
+
 def test_records_carry_the_tally(tmp_path):
     result = run_experiment(datasets.chesapeake_like(), GOLDEN_LEVELS[:2], trials=2,
                             comparisons=200)

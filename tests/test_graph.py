@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import G1_EDGES, edge_lists, neighbor_sets
@@ -12,6 +12,7 @@ from linkpred.graph import (
     EdgePartition,
     Graph,
     SaturatedNodeError,
+    _groups,
     load_edge_list,
     sample_non_neighbor,
     split_edges,
@@ -285,6 +286,37 @@ class TestReferenceCanonicalizer:
         assert g.edges.shape == (len(edge_list), 2)
         assert g.adjacency_matrix.shape == g.common_neighbor_counts.shape == (len(node_list),) * 2
         assert g.degrees.sum() == 2 * len(edge_list)
+
+
+_INT64 = (-2**63, 2**63 - 1)
+
+
+@st.composite
+def _values_to_group(draw):
+    """int64 values: compact (span at most twice the count, grouped by
+    counting), wide, negative, or at either int64 boundary."""
+    lo = draw(st.sampled_from([0, -40, _INT64[0], _INT64[1] - 40]))
+    width = draw(st.sampled_from([3, 40]))
+    near = st.integers(lo, lo + width)
+    wide = st.integers(*_INT64)
+    return draw(st.lists(st.one_of(near, wide) if draw(st.booleans()) else near, max_size=40))
+
+
+class TestGroups:
+    @given(_values_to_group())
+    @example([])
+    @example([5, 3, 5, 4, 3])  # compact: counted
+    @example([0, 10**12, 0])  # wide: sorted
+    @example([-7, -9, -7, -8])
+    @example([_INT64[0], _INT64[0] + 1, _INT64[0]])
+    @example([_INT64[1], _INT64[1] - 2, _INT64[1]])
+    @example([_INT64[1], _INT64[0], _INT64[1]])
+    def test_matches_np_unique(self, values):
+        values = np.array(values, dtype=np.int64)
+        _, first, rank = np.unique(values, return_index=True, return_inverse=True)
+        got_rank, got_first = _groups(values)
+        assert np.array_equal(got_rank, rank) and np.array_equal(got_first, first)
+        assert got_rank.dtype == got_first.dtype == np.int64
 
 
 class TestReadOnly:

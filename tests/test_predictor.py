@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,11 +8,14 @@ import pytest
 from linkpred.graph import Graph
 from linkpred.predictor import (
     GRAD_TOL,
+    OPERATORS,
+    _SCORE_BLOCK,
     LogisticModel,
     build_training_set,
     edge_features,
     logistic_gradient,
     predict,
+    predict_pairs,
     train_logistic,
 )
 
@@ -253,3 +257,25 @@ class TestPredictScore:
         model = LogisticModel(weights=np.zeros(3), bias=0.0)
         with pytest.raises(ValueError):
             predict(model, np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_blocked_pairs_match_per_pair_scores(self, operator):
+        # 1,000 pairs at d = 128, as one trial's draws: more than three blocks,
+        # the last one partial, with repeated pairs.
+        rng = np.random.default_rng(4)
+        vectors = rng.normal(size=(60, 128))
+        model = LogisticModel(weights=rng.normal(size=128), bias=0.25)
+        rows, cols = rng.integers(60, size=(2, 1000))
+        assert len(rows) > 3 * _SCORE_BLOCK and len(rows) % _SCORE_BLOCK
+        tracemalloc.start()
+        try:
+            scores = predict_pairs(model, vectors, rows, cols, operator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_by_one = [predict(model, edge_features(vectors, rows[i:i + 1], cols[i:i + 1],
+                                                   operator))[0] for i in range(len(rows))]
+        assert scores.tolist() == one_by_one
+        # At most four (block x d) float64 temporaries (abs_diff) and the output
+        # are alive; the unblocked call holds three or four (1,000 x d) ones, 3-4 MB.
+        assert peak < 5 * _SCORE_BLOCK * 128 * 8

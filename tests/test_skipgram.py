@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from linkpred import skipgram
 from linkpred.graph import Graph
 from linkpred.skipgram import (
     LR_FINAL,
@@ -183,6 +184,12 @@ class TestTrain:
         model = train(corpus, TrainConfig(dim=32, window=5, epochs=10, seed=3))
         norms = np.linalg.norm(model.input_vectors, axis=1)
         assert norms.max() < 1e3
+
+    def test_divergence_raises_instead_of_returning_non_finite_vectors(self, g1, monkeypatch):
+        # A huge learning rate drives both tables past the float64 range.
+        monkeypatch.setattr(skipgram, "LR_INITIAL", 1e300)
+        with pytest.raises(ValueError, match="non-finite vectors after epoch 1"):
+            train(_corpus(g1), TrainConfig(dim=8, window=3, epochs=3))
 
     def test_empty_corpus(self):
         with pytest.raises(ValueError):
