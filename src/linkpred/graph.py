@@ -136,7 +136,8 @@ class Graph:
 
 
 def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
-    """Parse an edge-list file: one edge per line, two whitespace-separated ints.
+    """Parse an edge-list file: one edge per line, two whitespace-separated ids,
+    each an ASCII decimal integer with an optional sign.
 
     Blank lines are ignored. Self-loop lines are dropped; their count is
     returned alongside the graph. Node ids must lie in the signed 64-bit
@@ -151,6 +152,9 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
         # bytes.splitlines breaks lines where text mode does: at \n, \r and \r\n.
         lineno = len((data[: exc.start] + b"x").splitlines())
         raise EdgeListParseError(f"line {lineno}: not UTF-8 text") from None
+    # int() alone also takes "1_000" and non-ASCII digits such as "٣"; a text
+    # with neither an underscore nor a non-ASCII character holds no such id.
+    suspect = "_" in text or not text.isascii()
     pairs: list[Edge] = []
     dropped_self_loops = 0
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -162,6 +166,8 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
                 f"line {lineno}: expected two node ids, got {len(tokens)} tokens"
             )
         try:
+            if suspect and ("_" in line or not (tokens[0] + tokens[1]).isascii()):
+                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise EdgeListParseError(

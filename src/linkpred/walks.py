@@ -1,9 +1,10 @@
 """Walk corpora for embedding training.
 
-Two walk laws: second-order (p, q)-weighted walks with O(1) alias draws, and
-restart walks that jump back to their start node. A walk of length ``l``
-visits ``l + 1`` nodes (start plus l steps). Every node in a walk, a row or
-a table entry is a dense index: a position in ``Graph.nodes``.
+Two walk laws: second-order (p, q)-weighted walks, stepped by rejection
+against a per-move weight bound, and restart walks that jump back to their
+start node. A walk of length ``l`` visits ``l + 1`` nodes (start plus l
+steps). Every node in a walk or a row is a dense index: a position in
+``Graph.nodes``.
 
 Neighbor rows are CSR arrays ``(indptr, targets)``: the neighbors of x are
 ``targets[indptr[x]:indptr[x + 1]]``, ascending, and a position in
@@ -65,58 +66,21 @@ def sorted_neighbors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return indptr, np.nonzero(g.adjacency_matrix)[1]
 
 
-def _vose(weights: list[float]) -> tuple[list[float], list[int]]:
-    """prob/alias columns encoding the normalized ``weights`` (Vose's method)."""
-    n = len(weights)
-    total = sum(weights)
-    if not total * n < math.inf:  # every w * n below must stay finite
-        raise ValueError("p or q is so small that the walk weights overflow")
-    scaled = [w * n / total for w in weights]
-    prob = [0.0] * n
-    alias = list(range(n))
-    small = [i for i, s in enumerate(scaled) if s < 1.0]
-    large = [i for i, s in enumerate(scaled) if s >= 1.0]
-    while small and large:
-        lo = small.pop()
-        hi = large.pop()
-        prob[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        if scaled[hi] < 1.0:
-            small.append(hi)
-        else:
-            large.append(hi)
-    for leftover in (large, small):
-        while leftover:
-            prob[leftover.pop()] = 1.0
-    return prob, alias
+def build_alias_table(g: Graph, p: float, q: float) -> np.ndarray:
+    """Weight bound of every directed move of ``g``, for rejection steps.
 
-
-def build_alias_table(g: Graph, p: float, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat alias columns ``(start, prob, alias)`` for every directed move of ``g``.
-
-    Slot s is the move t -> x at position s of :func:`sorted_neighbors`'
-    ``targets``. It owns the entries ``start[s] + i``, one for each column i
-    of x's row: the walker keeps column i with probability ``prob`` there and
-    otherwise takes the column ``alias`` there. The law over x's neighbors w
-    weights w 1/p if it is t itself, 1 if it is also a neighbor of t, and 1/q
-    otherwise, normalized.
+    Entry s is the move t -> x at position s of :func:`sorted_neighbors`'
+    ``targets``: the largest weight among x's next moves, where a neighbor w
+    of x weighs 1/p if it is t itself, 1 if it is also a neighbor of t, and
+    1/q otherwise. Going back to t is always possible; the other two terms
+    count only when x has such a neighbor. The name dates from the alias
+    columns this array replaced, and stays because ``--mode alias`` is this
+    walk and the benchmark's ``walks.alias_table`` span patches it here.
     """
     _check_p_q(p, q)
-    indptr, targets = sorted_neighbors(g)
-    degree = np.diff(indptr)
-    sizes = degree[targets]
-    start = np.cumsum(sizes) - sizes
-    slot = np.repeat(np.arange(len(targets)), sizes)  # each entry's slot
-    w = targets[indptr[targets[slot]] + np.arange(len(slot)) - start[slot]]
-    t = np.repeat(np.arange(g.num_nodes), degree)[slot]
-    weights = np.where(w == t, 1.0 / p, np.where(g.adjacency_matrix[t, w], 1.0, 1.0 / q))
-    weights, prob, alias = weights.tolist(), [], []
-    for a, b in zip(start.tolist(), (start + sizes).tolist()):
-        slot_prob, slot_alias = _vose(weights[a:b])
-        prob += slot_prob
-        alias += slot_alias
-    return start, np.array(prob), np.array(alias, dtype=np.int64)
+    t, x = np.nonzero(g.adjacency_matrix)
+    common = g.common_neighbor_counts[t, x]
+    return np.maximum(np.maximum(1.0 / p, (common > 0) * 1.0), (g.degrees[x] - 1 > common) / q)
 
 
 def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
@@ -124,10 +88,13 @@ def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
 
     All r·n walkers step together, one round per step, from one
     ``np.random.default_rng(seed)``; ``seed`` must be non-negative. Each step
-    draws a uniform column of the walker's row. A weighted walker then keeps
-    that column or takes its alias, reading the slot of its last move (its
-    first step stays uniform). A restart walker moves there with probability
-    c and otherwise returns to its start.
+    draws a uniform column of every walker's row. A restart walker moves there
+    with probability c and otherwise returns to its start. A weighted walker
+    past its first step keeps its column x with probability w / bound, one
+    uniform each, where w is x's node2vec weight after the move prev -> curr
+    and bound is that move's entry of :func:`build_alias_table`; the rejected
+    walkers alone draw a new column and a new uniform, until none is left.
+    That is the exact (p, q) law, and at p = q = 1 every column is kept.
     """
     rng = np.random.default_rng(seed)
     indptr, targets = sorted_neighbors(g)
@@ -136,8 +103,8 @@ def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
     walks = np.empty((len(homes), params.length + 1), dtype=np.int64)
     walks[:, 0] = homes
     if params.mode == "alias":
-        start, prob, alias = build_alias_table(g, params.p, params.q)
-    slot = None
+        bound = build_alias_table(g, params.p, params.q)
+        back, away = 1.0 / params.p, 1.0 / params.q
     for step in range(1, params.length + 1):
         curr = walks[:, step - 1]
         col = rng.integers(degree[curr])
@@ -145,9 +112,12 @@ def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
             moved = targets[indptr[curr] + col]
             walks[:, step] = np.where(rng.random(len(homes)) < params.c, moved, homes)
             continue
-        if slot is not None:
-            entry = start[slot] + col
-            col = np.where(rng.random(len(homes)) < prob[entry], col, alias[entry])
+        todo = np.arange(len(homes) if step > 1 else 0)  # a first step has no prev: uniform
+        while len(todo):
+            prev, x = walks[todo, step - 2], targets[indptr[curr[todo]] + col[todo]]
+            w = np.where(x == prev, back, np.where(g.adjacency_matrix[prev, x], 1.0, away))
+            todo = todo[rng.random(len(todo)) * bound[slot[todo]] >= w]
+            col[todo] = rng.integers(degree[curr[todo]])
         slot = indptr[curr] + col
         walks[:, step] = targets[slot]
     return walks.tolist()

@@ -361,6 +361,14 @@ def test_stats_parse_error(tmp_path):
     assert run.stderr == "error: line 2: non-integer node id in '1 x'\n"
 
 
+@pytest.mark.parametrize("line", ["1_000 2", "\u0663 1"], ids=["underscore", "arabic_indic"])
+def test_stats_non_decimal_id_is_a_parse_error(tmp_path, capsys, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 1\n{line}\n", encoding="utf-8")
+    assert main(["stats", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: line 2: non-integer node id in {line!r}\n"
+
+
 def test_stats_non_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "latin1.txt"
     path.write_bytes(b"0 1\n1 2\n\xff 3\n")

@@ -50,6 +50,21 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListParseError, match="line 2"):
             load_edge_list(_edge_file(tmp_path, "0 1\n0 x"))
 
+    def test_underscore_id_names_line(self, tmp_path):
+        # int("1_000") is 1000, but the format takes ASCII decimal digits only
+        with pytest.raises(EdgeListParseError, match="^line 2: non-integer node id in '1_000 2'$"):
+            load_edge_list(_edge_file(tmp_path, "0 1\n1_000 2\n"))
+
+    def test_non_ascii_digit_names_line(self, tmp_path):
+        # int("\u0663") is 3 (ARABIC-INDIC DIGIT THREE)
+        with pytest.raises(EdgeListParseError,
+                           match="^line 3: non-integer node id in '\u0663 1'$"):
+            load_edge_list(_edge_file(tmp_path, "0 1\n1 2\n\u0663 1\n"))
+
+    def test_signed_ids_and_non_ascii_separators(self, tmp_path):
+        g, _ = load_edge_list(_edge_file(tmp_path, "+3 -4\n-4\u00a05\n"))
+        assert g.edge_list == ((3, -4), (-4, 5))
+
     def test_wrong_arity_names_line(self, tmp_path):
         with pytest.raises(EdgeListParseError, match="line 1"):
             load_edge_list(_edge_file(tmp_path, "0 1 2\n3 4"))

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 
 from conftest import SHUFFLED_RING_EDGES, edge_lists, neighbor_sets
-from linkpred import datasets
+from linkpred import datasets, walks
 from linkpred.graph import Graph
 from linkpred.walks import WalkParams, build_alias_table, generate_corpus, sorted_neighbors
 
 ALIAS_SETTINGS = [(0.25, 4.0), (1.0, 1.0), (4.0, 0.25)]
 
 
-def _expected_distribution(g, prev, curr, p, q):
-    """Independent reweighting straight from the transition-rule table."""
+def _raw_weights(g, prev, curr, p, q):
+    """Unnormalized node2vec weights of curr's neighbors after the move prev -> curr,
+    straight from the transition-rule table."""
     nbrs = neighbor_sets(g)
     weights = {}
     for w in nbrs[curr]:
@@ -24,28 +25,20 @@ def _expected_distribution(g, prev, curr, p, q):
             weights[w] = 1.0
         else:
             weights[w] = 1 / q
+    return weights
+
+
+def _expected_distribution(g, prev, curr, p, q):
+    """Independent reweighting straight from the transition-rule table."""
+    weights = _raw_weights(g, prev, curr, p, q)
     total = sum(weights.values())
     return {w: weight / total for w, weight in weights.items()}
 
 
-def _slot_distribution(g, table, prev, curr):
-    """Exact law of the step after the move prev -> curr (dense indices), read
-    from the flat alias columns.
-
-    The move's slot owns one entry per column i of curr's row; column i
-    contributes prob/k to its own node and (1 - prob)/k to the node at its
-    alias column. Summing recovers the normalized weights.
-    """
+def _move_bound(g, bound, prev, curr):
+    """The entry of ``bound`` for the move prev -> curr (dense indices)."""
     indptr, targets = sorted_neighbors(g)
-    start, prob, alias = table
-    slot = indptr[prev] + targets[indptr[prev]:indptr[prev + 1]].tolist().index(curr)
-    row = targets[indptr[curr]:indptr[curr + 1]].tolist()
-    mass = dict.fromkeys(row, 0.0)
-    for i, node in enumerate(row):
-        entry = start[slot] + i
-        mass[node] += prob[entry] / len(row)
-        mass[row[alias[entry]]] += (1.0 - prob[entry]) / len(row)
-    return mass
+    return bound[indptr[prev] + targets[indptr[prev]:indptr[prev + 1]].tolist().index(curr)]
 
 
 def _moves(g):
@@ -74,39 +67,37 @@ def _transitions(corpus):
 
 
 class TestAliasTable:
+    """``build_alias_table`` gives each directed move the largest weight of its next step."""
+
     def test_g1_entry_exact(self, g1):
-        # move (0,1) with p=1, q=2: N(1)={0,2,3}; 0 is the previous node,
-        # 2 is a mutual neighbor, 3 is not adjacent to 0 -> [1, 1, 0.5]
-        dist = _slot_distribution(g1, build_alias_table(g1, p=1.0, q=2.0), 0, 1)
-        assert dist[0] == pytest.approx(0.4, abs=1e-12)
-        assert dist[2] == pytest.approx(0.4, abs=1e-12)
-        assert dist[3] == pytest.approx(0.2, abs=1e-12)
+        # move (0,1): N(1)={0,2,3}; 0 is the previous node, 2 is a mutual
+        # neighbor, 3 is not adjacent to 0 -> weights [1/p, 1, 1/q]
+        cases = [(1.0, 2.0, 1.0), (1.0, 0.5, 2.0), (0.25, 2.0, 4.0), (4.0, 2.0, 1.0)]
+        for p, q, expected in cases:
+            assert _move_bound(g1, build_alias_table(g1, p, q), 0, 1) == expected
 
     def test_uniform_weights_prob_all_one(self):
-        # triangle with p=q=1: every neighbor weight equal, Vose degenerates
-        _, prob, _ = build_alias_table(Graph([(0, 1), (0, 2), (1, 2)]), p=1.0, q=1.0)
-        assert len(prob) == 6 * 2
-        assert np.all(prob == 1.0)
+        # triangle with p=q=1: every weight is 1, so every proposal is kept
+        bound = build_alias_table(Graph([(0, 1), (0, 2), (1, 2)]), p=1.0, q=1.0)
+        assert bound.tolist() == [1.0] * 6
 
     def test_single_edge_point_mass(self):
-        g = Graph([(0, 1)])
-        assert _slot_distribution(g, build_alias_table(g, 1.0, 1.0), 0, 1) == {0: 1.0}
+        # the only next move goes back, whatever q is
+        for q in (1.0, 1e-300):
+            assert build_alias_table(Graph([(0, 1)]), 0.5, q).tolist() == [2.0, 2.0]
 
     def test_covers_both_orientations(self, g1):
-        # one slot per directed move, each owning one entry per column of its target's row
+        # one float entry per directed move, at its position in sorted_neighbors' targets
         indptr, targets = sorted_neighbors(g1)
-        start, prob, alias = build_alias_table(g1, 1.0, 1.0)
+        bound = build_alias_table(g1, 1.0, 1.0)
         sources = np.repeat(np.arange(g1.num_nodes), np.diff(indptr))
-        assert len(start) == 2 * g1.num_edges
+        assert bound.shape == (2 * g1.num_edges,)
+        assert bound.dtype == np.float64
         assert sorted(zip(sources.tolist(), targets.tolist())) == sorted(_moves(g1))
-        sizes = np.diff(indptr)[targets]
-        assert np.array_equal(start, np.cumsum(sizes) - sizes)
-        assert len(prob) == len(alias) == sizes.sum()
-        assert np.all((0 <= alias) & (alias < np.repeat(sizes, sizes)))
 
     @pytest.mark.parametrize("p,q", [(0.0, 1.0), (1.0, -2.0), (math.inf, math.inf),
                                      (math.nan, 1.0), (1.0, math.nan), (1e-310, 1.0),
-                                     (1.0, 1e-310), (1e-308, 2e-308)])
+                                     (1.0, 1e-310)])
     def test_invalid_p_q(self, g1, p, q):
         with pytest.raises(ValueError):
             build_alias_table(g1, p, q)
@@ -114,27 +105,68 @@ class TestAliasTable:
     @pytest.mark.parametrize("p", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("q", [0.25, 1.0, 4.0])
     def test_reconstruction_identity_g1(self, g1, p, q):
-        table = build_alias_table(g1, p, q)
+        # the bound, built from degree and common-neighbor counts, is the
+        # brute-force maximum of the move's raw weights
+        bound = build_alias_table(g1, p, q)
         for prev, curr in _moves(g1):
-            expected = _expected_distribution(g1, prev, curr, p, q)
-            reconstructed = _slot_distribution(g1, table, prev, curr)
-            assert reconstructed.keys() == expected.keys()
-            for node, mass in expected.items():
-                assert reconstructed[node] == pytest.approx(mass, abs=1e-12)
+            weights = _raw_weights(g1, prev, curr, p, q)
+            assert _move_bound(g1, bound, prev, curr) == max(weights.values())
 
     @given(edge_lists())
     def test_reconstruction_identity_random(self, pairs):
         # the oracle speaks node ids, the table dense indices
         g = Graph(pairs)
-        ids, dense = g.node_list, g.dense_index
-        for p, q in ALIAS_SETTINGS:
-            table = build_alias_table(g, p, q)
+        ids = g.node_list
+        for p, q in ALIAS_SETTINGS + [(1e-300, 1.0), (1.0, 1e-300), (1e-308, 2e-308)]:
+            bound = build_alias_table(g, p, q)
             for prev, curr in _moves(g):
-                expected = _expected_distribution(g, ids[prev], ids[curr], p, q)
-                reconstructed = _slot_distribution(g, table, prev, curr)
-                assert reconstructed.keys() == {dense[node] for node in expected}
-                for node, mass in expected.items():
-                    assert reconstructed[dense[node]] == pytest.approx(mass, abs=1e-12)
+                weights = _raw_weights(g, ids[prev], ids[curr], p, q)
+                assert _move_bound(g, bound, prev, curr) == max(weights.values())
+
+
+class TestExtremeWeights:
+    """Walks at settings where one global bound would stall or a weight sum overflow."""
+
+    def test_tiny_q_on_k4_stays_uniform(self):
+        from scipy.stats import chisquare
+
+        # every neighbor of a K4 move's target is the previous node or a
+        # mutual neighbor, so no move has a 1/q = 1e300 weight to bound
+        g = Graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        assert build_alias_table(g, 1.0, 1e-300).tolist() == [1.0] * 12
+        corpus = generate_corpus(g, WalkParams(20, 500, q=1e-300), seed=2)
+        nxt = _steps_after(_triples(corpus), 0, 1)
+        assert set(nxt.tolist()) == {0, 2, 3}
+        assert chisquare(np.bincount(nxt)[[0, 2, 3]]).pvalue > 0.001
+
+    def test_tiny_p_always_returns(self):
+        corpus = generate_corpus(datasets.usair_like(), WalkParams(8, 1, p=1e-300), seed=4)
+        walks = np.array(corpus)
+        assert np.array_equal(walks[:, 2:], walks[:, :-2])
+
+    def test_tiny_p_and_q_walk_runs(self, g1):
+        # 1/p = 1e308 and 1/q = 5e307: no weight sum is formed, so none overflows
+        assert np.all(np.isfinite(build_alias_table(g1, 1e-308, 2e-308)))
+        corpus = generate_corpus(g1, WalkParams(10, 2, p=1e-308, q=2e-308), seed=0)
+        assert len(corpus) == 2 * g1.num_nodes
+        for walk in corpus:
+            assert all(g1.adjacency_matrix[a, b] for a, b in zip(walk, walk[1:]))
+
+
+def test_generate_corpus_calls_the_module_level_table(g1, monkeypatch):
+    # the benchmark times the table by patching walks.build_alias_table, so
+    # generate_corpus must look it up there, once per weighted corpus
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return build_alias_table(*args)
+
+    monkeypatch.setattr(walks, "build_alias_table", spy)
+    generate_corpus(g1, WalkParams(5, 2, p=0.5, q=2.0), seed=0)
+    assert len(calls) == 1
+    generate_corpus(g1, WalkParams(5, 2, mode="restart"), seed=0)
+    assert len(calls) == 1
 
 
 class TestAliasDraw:
@@ -262,9 +294,12 @@ class TestGenerateCorpus:
 
 # sha256 of repr(generate_corpus(g, params, seed=0)) mapped through g.nodes to
 # node ids. They pin the lockstep draw order: one Generator, one round per
-# step over all r·n walkers, a uniform column and then (after an alias walker's
-# first step, or for a restart walker) one uniform each. A change of that order
-# changes the corpora, though not their law; re-record them only with it.
+# step over all r·n walkers, a uniform column each and then (after a weighted
+# walker's first step, or for a restart walker) one uniform each; the weighted
+# walkers whose column is rejected then draw a new column each and a new
+# uniform each, in walker order, round after round until none is left. A
+# change of that order changes the corpora, though not their law; re-record
+# them only with it.
 CORPUS_PARAMS = {
     "alias_p0.5_q2": WalkParams(12, 2, p=0.5, q=2.0),
     "uniform": WalkParams(10, 1),
@@ -272,13 +307,13 @@ CORPUS_PARAMS = {
 }
 CORPUS_SHA256 = {
     ("chesapeake_like", "alias_p0.5_q2"):
-        "e1079e2a02e091a1f9b7ea8c795751003a529eb3ee2bb28d62a9d15fb01d8443",
+        "bb27a9c10048307af06e0cf97dae9b81be9ba2922816e8f20b46a3e344f3f0b5",
     ("chesapeake_like", "uniform"):
         "6eadfbe7a8e8690c1cd09efcb8664c017c70a10f31893a48f860f45c5da494ea",
     ("chesapeake_like", "restart_c0.7"):
         "fc34f1acffad61d6525978bbde202bcfb9a09c58d5dd2eb5b6349a7cbca19460",
     ("embedding_benchmark_graph", "alias_p0.5_q2"):
-        "6e5c3e5c31390547966dc71e04cc78127ad96e8e90fcffdd2a0d85ffc3bb7e5a",
+        "948b9117fcfab5c64284bc527cff117c51618300403080a7427eb74a95557a16",
     ("embedding_benchmark_graph", "uniform"):
         "176b8eb469f6400985e46ba83fcdfadf550a3d67e22d531490213f0f3f41af00",
     ("embedding_benchmark_graph", "restart_c0.7"):
