@@ -12,9 +12,9 @@ from the split's (k, 2) array of training node ids, and the n draws are
 made once, as an (n, 4) array of the training graph's dense node indices;
 every level scores that same graph and those same draws as two score
 arrays; a scorer without a batch form (``Scorer.pairs``) is called once per
-pair. The graph caches the matrices that scorers read from it (its
-adjacency matrix and common-neighbor counts), so the levels of a trial
-build each once.
+pair. The graph caches the arrays that scorers read from it (its
+adjacency matrix and the packed adjacency rows that common-neighbor counts
+are taken from), so the levels of a trial build each once.
 """
 
 from __future__ import annotations

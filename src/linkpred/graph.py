@@ -73,7 +73,9 @@ class Graph:
     Each is grouped by :func:`_groups`, of the ids or the pair keys: by
     counting where the values are compact, as ids numbered from 0 are, else
     by one sort. All else is derived on first read and cached; all is
-    read-only, as every scorer reads it.
+    read-only, as every scorer reads it. Common neighbors are counted at the
+    pairs asked for (:meth:`common_neighbors`), from the packed adjacency
+    rows of ``neighbor_bits``; no n x n product is formed.
     """
 
     def __init__(self, pairs: Union[Sequence[Edge], np.ndarray]):
@@ -125,11 +127,21 @@ class Graph:
         return _read_only(dense)
 
     @cached_property
-    def common_neighbor_counts(self) -> np.ndarray:
-        """(n, n) float32 A @ A.T (= A @ A): [i, j] counts the common neighbors of
-        i and j, [i, i] is the degree of i. Counts < 2^24 are exact in any sum order."""
-        A = self.adjacency_matrix.astype(np.float32)
-        return _read_only(A @ A.T)
+    def neighbor_bits(self) -> np.ndarray:
+        """(n, ceil(n / 64)) uint64: row i is row i of ``adjacency_matrix`` packed
+        64 columns to a word, zero-padded past column n."""
+        n = self.num_nodes
+        packed = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
+        packed[:, :(n + 7) // 8] = np.packbits(self.adjacency_matrix, axis=1)
+        return _read_only(packed.view(np.uint64))
+
+    def common_neighbors(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Float64 count of the common neighbors of each pair ``(rows[i], cols[i])``
+        of dense indices; a node has its degree in common with itself. Exact:
+        each count is a sum of at most n small integers."""
+        bits = self.neighbor_bits
+        both = np.bitwise_count(bits.take(rows, axis=0) & bits.take(cols, axis=0))
+        return both @ np.ones(bits.shape[1])
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -3,10 +3,11 @@
 All six scores share the signature ``(g, rows, cols) -> float array`` over
 arrays of dense node indices (see ``Graph.dense_index``): pair i is
 ``(rows[i], cols[i])``, with ``rows[i] != cols[i]`` and both degrees >= 1 in
-a simple undirected graph. Five gather the shared-neighbor count from
-``Graph.common_neighbor_counts``, built once per graph; Adamic-Adar
-intersects rows of ``Graph.adjacency_matrix``, ``_AA_BLOCK`` pairs at a time,
-so that its temporaries stay small whatever the number of pairs. Logarithms
+a simple undirected graph. Five are functions of the shared-neighbor count
+that ``Graph.common_neighbors`` takes at the asked pairs from the graph's
+packed adjacency rows, built once per graph; Adamic-Adar intersects rows of
+``Graph.adjacency_matrix``, ``_AA_BLOCK`` pairs at a time, so that its
+temporaries stay small whatever the number of pairs. Logarithms
 are base 10 throughout; AUC ranking is invariant to the base.
 """
 
@@ -25,10 +26,6 @@ from .graph import Graph
 _AA_BLOCK = 256
 
 
-def _common_neighbors(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    return g.common_neighbor_counts[rows, cols]
-
-
 def _adamic_adar(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # A common neighbor of two distinct nodes has degree >= 2, so a degree-1
     # node's weight is never used.
@@ -45,17 +42,17 @@ def _adamic_adar(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _lhn1_variant(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # Both endpoints of degree 1 make log10 of the product 0: the score is 0.
     product = g.degrees[rows] * g.degrees[cols]
-    return np.divide(_common_neighbors(g, rows, cols), np.log10(product),
+    return np.divide(g.common_neighbors(rows, cols), np.log10(product),
                      out=np.zeros(len(product)), where=product > 1)
 
 
 LOCAL_INDICES = {
-    "cn": _common_neighbors,
-    "hub_prom": lambda g, rows, cols: _common_neighbors(g, rows, cols)
+    "cn": Graph.common_neighbors,
+    "hub_prom": lambda g, rows, cols: g.common_neighbors(rows, cols)
     / np.minimum(g.degrees[rows], g.degrees[cols]),
-    "hub_depr": lambda g, rows, cols: _common_neighbors(g, rows, cols)
+    "hub_depr": lambda g, rows, cols: g.common_neighbors(rows, cols)
     / np.maximum(g.degrees[rows], g.degrees[cols]),
-    "lhn1": lambda g, rows, cols: _common_neighbors(g, rows, cols)
+    "lhn1": lambda g, rows, cols: g.common_neighbors(rows, cols)
     / (g.degrees[rows] * g.degrees[cols]),
     "aa": _adamic_adar,
     "lhn1_var": _lhn1_variant,

@@ -63,7 +63,7 @@ def _check_p_q(p: float, q: float) -> None:
 def sorted_neighbors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, targets)``: each dense index's neighbors, ascending, as CSR rows."""
     indptr = np.concatenate(([0], np.cumsum(g.degrees)))
-    return indptr, np.nonzero(g.adjacency_matrix)[1]
+    return indptr, np.flatnonzero(g.adjacency_matrix) % g.num_nodes
 
 
 def build_alias_table(g: Graph, p: float, q: float) -> np.ndarray:
@@ -78,8 +78,9 @@ def build_alias_table(g: Graph, p: float, q: float) -> np.ndarray:
     walk and the benchmark's ``walks.alias_table`` span patches it here.
     """
     _check_p_q(p, q)
-    t, x = np.nonzero(g.adjacency_matrix)
-    common = g.common_neighbor_counts[t, x]
+    _, x = sorted_neighbors(g)
+    t = np.repeat(np.arange(g.num_nodes), g.degrees)
+    common = g.common_neighbors(t, x)
     return np.maximum(np.maximum(1.0 / p, (common > 0) * 1.0), (g.degrees[x] - 1 > common) / q)
 
 

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import G1_EDGES, edge_lists, neighbor_sets
@@ -18,6 +18,32 @@ from linkpred.graph import (
     split_edges,
 )
 from linkpred.rwr import build_rwr, build_transition
+
+
+def _every_pair_counts(g):
+    """``g.common_neighbors`` at every ordered pair of dense indices, as (n, n)."""
+    rows, cols = np.indices((g.num_nodes,) * 2).reshape(2, -1)
+    return g.common_neighbors(rows, cols).reshape(g.num_nodes, g.num_nodes)
+
+
+def _assert_counts_are_set_intersections(g, counts):
+    adjacency = neighbor_sets(g)
+    for u in g.node_list:
+        for v in g.node_list:
+            shared = adjacency[u] & adjacency[v]
+            assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)
+
+
+@st.composite
+def _graphs_at_word_edges(draw):
+    """Graphs on 63, 64, 65, 127, 128 or 129 nodes: a path through every node
+    in a drawn order, plus drawn chords."""
+    n = draw(st.sampled_from([63, 64, 65, 127, 128, 129]))
+    path = draw(st.permutations(range(n)))
+    node = st.integers(0, n - 1)
+    chords = draw(st.lists(st.tuples(node, node).filter(lambda e: e[0] != e[1]),
+                           max_size=4 * n))
+    return Graph(list(zip(path, path[1:])) + chords)
 
 
 def _edge_file(tmp_path, text):
@@ -127,13 +153,19 @@ class TestGraphQueries:
         assert g.degrees.tolist() == [5, 1, 1, 1, 1, 1]
 
     def test_shared_neighbors_g1(self, g1):
-        counts, index = g1.common_neighbor_counts, g1.dense_index
+        counts, index = _every_pair_counts(g1), g1.dense_index
         assert counts[index[1], index[2]] == 2  # {0, 3}
         assert counts[index[0], index[4]] == 0
 
     def test_shared_neighbors_self(self, g1):
         # a node shares all of its neighbors with itself
-        assert np.diagonal(g1.common_neighbor_counts).tolist() == g1.degrees.tolist()
+        assert np.diagonal(_every_pair_counts(g1)).tolist() == g1.degrees.tolist()
+
+    def test_no_pairs_count_nothing(self, g1):
+        none = np.array([], dtype=np.intp)
+        for g in (g1, Graph([])):
+            counts = g.common_neighbors(none, none)
+            assert counts.shape == (0,) and counts.dtype == np.float64
 
     def test_self_loop_rejected(self):
         for pairs in ([(1, 1)], [(0, 1), (2, 2)], np.array([[0, 1], [3, 3]])):
@@ -299,7 +331,11 @@ class TestReferenceCanonicalizer:
         assert (g.node_list, g.edge_list) == (node_list, edge_list) == _reference_graph(pairs)[:2]
         assert g.nodes.dtype == g.edges.dtype == np.int64
         assert g.edges.shape == (len(edge_list), 2)
-        assert g.adjacency_matrix.shape == g.common_neighbor_counts.shape == (len(node_list),) * 2
+        n = len(node_list)
+        assert g.adjacency_matrix.shape == (n, n)
+        assert g.neighbor_bits.shape == (n, (n + 63) // 64)
+        A = g.adjacency_matrix.astype(int)
+        assert np.array_equal(_every_pair_counts(g), A @ A)
         assert g.degrees.sum() == 2 * len(edge_list)
 
 
@@ -336,7 +372,7 @@ class TestGroups:
 
 class TestReadOnly:
     @pytest.mark.parametrize("name", ["nodes", "edges", "degrees", "adjacency_matrix",
-                                      "common_neighbor_counts"])
+                                      "neighbor_bits"])
     def test_in_place_write_raises(self, g1, name):
         array = getattr(g1, name)
         before = array.copy()
@@ -385,21 +421,27 @@ class TestInvariants:
     @given(edge_lists())
     def test_shared_neighbors_symmetric(self, pairs):
         g = Graph(pairs)
-        adjacency = neighbor_sets(g)
-        counts = g.common_neighbor_counts
-        A = g.adjacency_matrix.astype(np.float32)
-        assert counts.dtype == np.float32
+        counts = _every_pair_counts(g)
+        A = g.adjacency_matrix.astype(int)
+        assert counts.dtype == np.float64
         assert np.array_equal(counts, counts.T) and np.array_equal(counts, A @ A)
-        for u in g.node_list:
-            for v in g.node_list:
-                shared = adjacency[u] & adjacency[v]
-                assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)
+        _assert_counts_are_set_intersections(g, counts)
+
+    @settings(max_examples=20)
+    @given(_graphs_at_word_edges())
+    def test_shared_neighbors_at_word_edges(self, g):
+        # n at, or one off, a multiple of 64: the last word is full, holds one
+        # column, or lacks one; its padding bits must stay clear
+        n = g.num_nodes
+        assert g.neighbor_bits.shape == (n, (n + 63) // 64)
+        assert np.bitwise_count(g.neighbor_bits).sum(axis=1).tolist() == g.degrees.tolist()
+        _assert_counts_are_set_intersections(g, _every_pair_counts(g))
 
     @pytest.mark.parametrize("name", ["usair_like", "florida_like", "chesapeake_like"])
     def test_common_neighbor_counts_equal_the_full_product(self, name):
         g = Graph(split_edges(getattr(datasets, name)(1), 0.1, 0).train)
-        A = g.adjacency_matrix.astype(np.float32)
-        assert np.array_equal(g.common_neighbor_counts, A @ A)
+        A = g.adjacency_matrix.astype(int)
+        assert np.array_equal(_every_pair_counts(g), A @ A)
 
     @given(edge_lists())
     def test_common_neighbor_degree_at_least_two(self, pairs):

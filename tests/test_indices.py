@@ -191,16 +191,17 @@ def test_batch_forms_match_per_pair(pairs):
         else:
             assert got.tolist() == expected, kind
 
-def test_one_common_neighbor_product_per_training_graph(monkeypatch):
-    # The six local levels of a trial share its training graph, so A @ A is
-    # built once per trial, not once per level or per column of draws.
+def test_neighbor_bits_built_once_per_training_graph(monkeypatch):
+    # The six local levels of a trial share its training graph, so its packed
+    # adjacency rows are built once per trial, not once per level or per
+    # column of draws.
     builds = []
 
     class CountingGraph(Graph):
         @cached_property
-        def common_neighbor_counts(self):
+        def neighbor_bits(self):
             builds.append(self)
-            return Graph.common_neighbor_counts.func(self)
+            return Graph.neighbor_bits.func(self)
 
     monkeypatch.setattr(evaluate, "Graph", CountingGraph)
     levels = [local_index_factory(kind) for kind in LOCAL_INDICES]
