@@ -75,7 +75,8 @@ class Graph:
     by one sort. All else is derived on first read and cached; all is
     read-only, as every scorer reads it. Common neighbors are counted at the
     pairs asked for (:meth:`common_neighbors`), from the packed adjacency
-    rows of ``neighbor_bits``; no n x n product is formed.
+    rows of ``neighbor_bits``; no n x n product is formed. RWR reads
+    ``independent_set``, once for all of its levels.
     """
 
     def __init__(self, pairs: Union[Sequence[Edge], np.ndarray]):
@@ -134,6 +135,27 @@ class Graph:
         packed = np.zeros((n, (n + 63) // 64 * 8), dtype=np.uint8)
         packed[:, :(n + 7) // 8] = np.packbits(self.adjacency_matrix, axis=1)
         return _read_only(packed.view(np.uint64))
+
+    @cached_property
+    def independent_set(self) -> np.ndarray:
+        """Dense indices, ascending, of the maximal independent set that a greedy
+        pass in ascending (degree, index) order takes. Built in rounds: each
+        takes every live node whose (degree, index) is below that of each live
+        neighbor, then retires it and its neighbors."""
+        n = self.num_nodes
+        key = self.degrees * n + np.arange(n)  # (degree, index) as one int; key % n is the index
+        first, second = key[self.edges].T
+        low, high = np.minimum(first, second) % n, np.maximum(first, second) % n
+        live, taken = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        while len(low):  # every edge left has two live ends
+            now = live.copy()
+            now[high] = False
+            taken |= now
+            live ^= now
+            live[high[now[low]]] = False
+            keep = live[low] & live[high]
+            low, high = low[keep], high[keep]
+        return _read_only(np.flatnonzero(taken | live))  # no live node has a live neighbor
 
     def common_neighbors(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Float64 count of the common neighbors of each pair ``(rows[i], cols[i])``

@@ -1,7 +1,7 @@
 """Neighborhood-based similarity scores for candidate edges.
 
 All six scores share the signature ``(g, rows, cols) -> float array`` over
-arrays of dense node indices (see ``Graph.dense_index``): pair i is
+arrays of dense node indices (positions in ``Graph.nodes``): pair i is
 ``(rows[i], cols[i])``, with ``rows[i] != cols[i]`` and both degrees >= 1 in
 a simple undirected graph. Five are functions of the shared-neighbor count
 that ``Graph.common_neighbors`` takes at the asked pairs from the graph's

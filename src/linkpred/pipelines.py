@@ -43,14 +43,16 @@ def rwr_factory(c: float) -> ScorerFactory:
     tag = f"rwr_c={c:.15g}"
 
     def build(g_train, seed):
-        X = rwr.build_rwr(g_train, c)
+        X, pos = rwr.build_rwr(g_train, c)
         s = np.sqrt(g_train.degrees)
         a = (1.0 - c) * s
 
         def pairs(rows, cols):
-            # M[r, q] + M[q, r] of M = (1 - c) D^1/2 X D^-1/2, each read entry
-            # scaled as a full scaling would; the terms swap under r <-> q.
-            return X[rows, cols] * a[rows] / s[cols] + X[cols, rows] * a[cols] / s[rows]
+            # M[i, j] + M[j, i] of M = (1 - c) D^1/2 X D^-1/2 at i, j = rows, cols
+            # (held in X at r, q), each read entry scaled as a full scaling
+            # would; the terms swap under i <-> j.
+            r, q = pos[rows], pos[cols]
+            return X[r, q] * a[rows] / s[cols] + X[q, r] * a[cols] / s[rows]
 
         return Scorer(tag, _one_pair(g_train, pairs), pairs)
 

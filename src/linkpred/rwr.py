@@ -1,22 +1,28 @@
-"""Random-walk-with-restart similarity: one block-recursive inverse per level.
+"""Random-walk-with-restart similarity: one in-place inverse per level.
 
 A surfer at node i moves to a uniform neighbor with probability c and jumps
 back to its start node with probability 1 - c. The stationary distribution
 for start node x is column x of M = (1 - c) (I - c P^T)^{-1}, where P = D^-1 A
 is the row-stochastic transition matrix. The pair score is M[u, v] + M[v, u].
-Rows and columns are the graph's dense indices (``Graph.dense_index``).
+Rows and columns are the graph's dense indices (positions in ``Graph.nodes``).
 
 P^T = D^1/2 N D^-1/2 with N = D^-1/2 A D^-1/2 symmetric, so
 
     M = (1 - c) D^1/2 X D^-1/2,  X = (I - c N)^{-1}.
 
 N has its eigenvalues in [-1, 1] and c < 1, so B = I - c N is symmetric
-positive definite. It is inverted by 2x2 block (Schur-complement) steps of
-matrix products, at n = 332 cheaper than an LU solve of I - c P^T; an eigh of
-N that a c sweep could share takes ~14-18 ms, against ~2 ms for one inverse
-(one BLAS thread), so no call keeps anything. ``build_rwr`` returns X, which
-is symmetric to a few ulps; a scorer scales only the entries it reads, and
-its score is exactly symmetric because its two terms swap under u <-> v.
+positive definite. N has a zero diagonal, so on a maximal independent set I
+(``Graph.independent_set``) B is exactly the identity. With I first and the
+rest C after it, one Schur step eliminates I with no inverse of that block,
+and only S = B_CC - W^T W, W = B_IC, is inverted, by 2x2 block
+(Schur-complement) steps of matrix products. On ``usair_like`` I holds ~110
+of 332 nodes, and the inverse runs at order ~220. A set of at most
+``_LEAF`` nodes saves less than the permutation costs, and B is inverted as
+it stands. Block steps beat an LU solve of I - c P^T and an eigh of N that
+a c sweep could share (~12-18 ms, against ~2 ms for one inverse at
+n = 332, one BLAS thread); the set is all that the levels share. X is
+symmetric to a few ulps; a scorer scales only the entries it reads, and its
+score is exactly symmetric because its two terms swap under u <-> v.
 Entries between two components are exactly 0: every product reaching them
 multiplies a structural zero. N is written over P on its 2m edge entries
 only, and the inverse in place, since a second n x n buffer is page-faulted
@@ -71,23 +77,48 @@ def _spd_inverse(B: np.ndarray) -> np.ndarray:
     return B
 
 
+def _eliminate(B: np.ndarray, k: int) -> np.ndarray:
+    """Overwrite a symmetric positive definite B whose leading k x k block is
+    exactly the identity with its inverse, and return it: one Schur step with
+    W = B12 and S = B22 - W^T W gives [[I + W S^-1 W^T, -W S^-1],
+    [-(W S^-1)^T, S^-1]], and only S goes to :func:`_spd_inverse`."""
+    W, B21, S = B[:k, k:], B[k:, :k], B[k:, k:]
+    S -= W.T @ W
+    _spd_inverse(S)
+    WS = W @ S
+    B[:k, :k] += WS @ W.T
+    B21[...] = np.negative(WS, out=W).T
+    return B
+
+
 def check_restart(c: float) -> None:
     """Raise ValueError unless 0 <= c < 1."""
     if not 0.0 <= c < 1.0:
         raise ValueError(f"restart complement c must be in [0, 1), got {c}")
 
 
-def build_rwr(g: Graph, c: float) -> np.ndarray:
-    """X = (I - c N)^{-1}, for 0 <= c < 1; M = (1 - c) D^1/2 X D^-1/2.
-
-    M[i, j] = X[i, j] (1 - c) sqrt(k_i) / sqrt(k_j), and column x of M is the
-    stationary distribution (sums to 1) for start node ``g.node_list[x]``.
-    At c = 0, X is exactly the identity.
-    """
+def build_rwr(g: Graph, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(X, pos)``, X[pos[i], pos[j]] = (I - c N)^{-1}[i, j] for dense indices
+    i, j and 0 <= c < 1, so M[i, j] = X[pos[i], pos[j]] (1 - c) sqrt(k_i) /
+    sqrt(k_j); column x of M is the stationary distribution (sums to 1) for
+    start node ``g.nodes[x]``, and at c = 0 X is exactly the identity. ``pos``
+    puts ``g.independent_set`` first when it has more than ``_LEAF`` nodes,
+    and is the identity otherwise."""
     check_restart(c)
     B = build_transition(g)
+    n = B.shape[0]
+    lead = g.independent_set if n > _LEAF else ()
+    k = len(lead) if len(lead) > _LEAF else 0
     u, v = g.edges.T
-    B[u, v] = B[v, u] = np.sqrt(B[u, v] * B[v, u])  # N: 1 / sqrt(k_i k_j) per edge
+    N = np.sqrt(B[u, v] * B[v, u])  # 1 / sqrt(k_i k_j) per edge
+    pos = np.arange(n)
+    if k:
+        rest = np.ones(n, dtype=bool)
+        rest[lead] = False
+        pos[np.concatenate((lead, np.flatnonzero(rest)))] = np.arange(n)
+        B[u, v] = B[v, u] = 0.0
+        u, v = pos[u], pos[v]
+    B[u, v] = B[v, u] = N
     B *= -c  # over all of B, so a non-edge is -0.0 as in a dense sqrt(P * P.T) * -c
-    B.flat[:: B.shape[0] + 1] += 1.0
-    return _spd_inverse(B)
+    B.flat[:: n + 1] += 1.0
+    return (_eliminate(B, k) if k else _spd_inverse(B)), pos

@@ -370,9 +370,50 @@ class TestGroups:
         assert got_rank.dtype == got_first.dtype == np.int64
 
 
+def _greedy_independent_set(g):
+    """Take each node in ascending (degree, index) order unless a neighbor was taken."""
+    ids = g.nodes.tolist()
+    adjacency = neighbor_sets(g)
+    taken = set()
+    for i in sorted(range(g.num_nodes), key=lambda i: (len(adjacency[ids[i]]), i)):
+        if not any(v in taken for v in adjacency[ids[i]]):
+            taken.add(ids[i])
+    return sorted(map(ids.index, taken))
+
+
+class TestIndependentSet:
+    @given(edge_lists())
+    def test_no_edge_inside(self, pairs):
+        g = Graph(pairs)
+        inside = np.isin(g.edges, g.independent_set)
+        assert not np.any(inside[:, 0] & inside[:, 1])
+
+    @given(edge_lists())
+    def test_maximal(self, pairs):
+        g = Graph(pairs)
+        adjacency = neighbor_sets(g)
+        chosen = set(g.nodes[g.independent_set].tolist())
+        for u in adjacency.keys() - chosen:
+            assert adjacency[u] & chosen, u
+
+    @given(edge_lists())
+    def test_deterministic_and_greedy(self, pairs):
+        g = Graph(pairs)
+        assert np.array_equal(g.independent_set, Graph(pairs).independent_set)
+        assert g.independent_set.tolist() == _greedy_independent_set(g)
+
+    def test_hand_checked(self):
+        # Star 0 - {1, 2, 3} and 4-cycle 3-4-5-6. By (degree, index): take 1
+        # and 2 (0 goes), take 4 (3 and 5 go), take 6. Index order alone
+        # would take 0, 4 and 6.
+        g = Graph([(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 3)])
+        assert g.independent_set.tolist() == [1, 2, 4, 6]
+        assert g.independent_set.dtype == np.intp
+
+
 class TestReadOnly:
     @pytest.mark.parametrize("name", ["nodes", "edges", "degrees", "adjacency_matrix",
-                                      "neighbor_bits"])
+                                      "neighbor_bits", "independent_set"])
     def test_in_place_write_raises(self, g1, name):
         array = getattr(g1, name)
         before = array.copy()
@@ -387,7 +428,7 @@ class TestReadOnly:
         degrees = g1.degrees.copy()
         matrix = g1.adjacency_matrix.copy()
         P = build_transition(g1)
-        M = build_rwr(g1, 0.5)
+        M, _ = build_rwr(g1, 0.5)  # the raw buffer: an un-permuted copy is always writable
         assert P.flags.writeable and M.flags.writeable
         assert np.array_equal(g1.degrees, degrees)
         assert np.array_equal(g1.adjacency_matrix, matrix)

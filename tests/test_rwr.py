@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import neighbor_sets, random_connected_graph, random_simple_graph
-from linkpred import rwr
-from linkpred.graph import Graph
+from linkpred import datasets, rwr
+from linkpred.graph import Graph, split_edges
 from linkpred.pipelines import rwr_factory
 from linkpred.rwr import build_rwr, build_transition
 
@@ -54,10 +54,30 @@ def _loop_transition(g):
     return P
 
 
+def _rwr_x(g, c):
+    """X = (I - c N)^{-1} over dense indices: ``build_rwr``'s X, un-permuted."""
+    X, pos = build_rwr(g, c)
+    return X[np.ix_(pos, pos)]
+
+
+def _path(g, monkeypatch):
+    """"eliminate" or "dense": the path ``build_rwr`` takes on g."""
+    taken = []
+    with monkeypatch.context() as m:
+        m.setattr(rwr, "_eliminate", lambda B, k: taken.append(k) or np.eye(len(B)))
+        _, pos = build_rwr(g, 0.5)
+    if not taken:
+        assert np.array_equal(pos, np.arange(g.num_nodes))
+        return "dense"
+    assert taken == [len(g.independent_set)] and taken[0] > rwr._LEAF
+    assert not np.array_equal(pos, np.arange(g.num_nodes))
+    return "eliminate"
+
+
 def _resolvent(g, c):
     """M = (1 - c) D^1/2 X D^-1/2 from the X that ``build_rwr`` returns,
     scaled over all n^2 entries."""
-    M = build_rwr(g, c)
+    M = _rwr_x(g, c)
     sqrt_k = np.sqrt(g.degrees)
     M *= (1.0 - c) * sqrt_k[:, None]
     M /= sqrt_k
@@ -75,10 +95,13 @@ class TestResolvent:
         expected = np.array([[10 / 19, 9 / 19], [9 / 19, 10 / 19]])
         assert np.allclose(M, expected, atol=1e-12)
 
-    def test_c_zero_gives_identity(self, g1):
-        # The 120-node graph is split into blocks before any is inverted.
-        for g in (g1, random_connected_graph(120, 300, 0)):
-            assert np.array_equal(build_rwr(g, 0.0), np.eye(g.num_nodes))
+    def test_c_zero_gives_identity(self, g1, monkeypatch):
+        # The 120-node graph is split into blocks before any is inverted; the
+        # sparse one has its independent set eliminated first.
+        graphs = (g1, random_connected_graph(120, 300, 0), random_simple_graph(150, 120, 0))
+        assert [_path(g, monkeypatch) for g in graphs] == ["dense", "dense", "eliminate"]
+        for g in graphs:
+            assert np.array_equal(_rwr_x(g, 0.0), np.eye(g.num_nodes))
 
     @pytest.mark.parametrize("c", [-0.1, 1.0, 1.5])
     def test_c_out_of_range(self, g1, c):
@@ -114,10 +137,11 @@ class TestScore:
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
-def test_stationary_invariants_random_graphs(c):
-    for seed in range(6):
-        n = 8 + 7 * seed
-        g = random_connected_graph(n, 2 * n, seed)
+def test_stationary_invariants_random_graphs(c, monkeypatch):
+    graphs = [random_connected_graph(8 + 7 * seed, 16 + 14 * seed, seed) for seed in range(6)]
+    graphs += [random_connected_graph(163, 400, 2), random_simple_graph(150, 120, 1)]
+    assert [_path(g, monkeypatch) for g in graphs] == ["dense"] * 6 + ["eliminate"] * 2
+    for g in graphs:
         M, P = _resolvent(g, c), build_transition(g)
         n = g.num_nodes
         assert np.all(M.sum(axis=0) > 1 - 1e-9)
@@ -128,10 +152,12 @@ def test_stationary_invariants_random_graphs(c):
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
-def test_neumann_series_oracle(c):
+def test_neumann_series_oracle(c, monkeypatch):
     # M should match (1-c) * sum_k c^k (P^T)^k truncated at K=200
-    for seed in range(4):
-        g = random_simple_graph(6 + 3 * seed, 10 + 4 * seed, seed)
+    graphs = [random_simple_graph(6 + 3 * seed, 10 + 4 * seed, seed) for seed in range(4)]
+    graphs.append(random_simple_graph(150, 120, 2))
+    assert [_path(g, monkeypatch) for g in graphs] == ["dense"] * 4 + ["eliminate"]
+    for g in graphs:
         M = _resolvent(g, c)
         Pt = build_transition(g).T
         n = g.num_nodes
@@ -158,11 +184,20 @@ def _random_bipartite_graph(a, b, n_edges, seed):
 
 
 def _oracle_graphs():
+    """13 graphs of at most _LEAF nodes, then 3 whose independent set is eliminated."""
     for seed in range(4):
         yield random_simple_graph(20 + 6 * seed, 14 + 8 * seed, seed)  # sparse; some disconnected
         yield random_connected_graph(10 + 8 * seed, 25 + 20 * seed, seed)
         yield _random_bipartite_graph(5 + seed, 7 + 2 * seed, 15 + 6 * seed, seed)
     yield Graph([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)])  # an edge and an even cycle
+    yield random_simple_graph(150, 120, 3)  # disconnected
+    yield _random_bipartite_graph(60, 70, 260, 4)
+    yield Graph(split_edges(datasets.usair_like(), 0.1, 1).train)
+
+
+def test_oracle_graphs_take_both_paths(monkeypatch):
+    paths = [_path(g, monkeypatch) for g in _oracle_graphs()]
+    assert paths == ["dense"] * 13 + ["eliminate"] * 3
 
 
 @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9, 0.99])
@@ -176,7 +211,7 @@ def test_c_just_below_one_is_finite():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for g in _oracle_graphs():
-            assert np.all(np.isfinite(build_rwr(g, c)))
+            assert np.all(np.isfinite(_rwr_x(g, c)))
 
 
 def _random_spd(n, seed):
@@ -195,35 +230,39 @@ def test_spd_inverse_matches_numpy_inverse(n):
     assert np.abs(R - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def test_level_is_independent_of_call_history():
+def test_level_is_independent_of_call_history(monkeypatch):
     g_a = random_connected_graph(120, 300, 4)
     g_b = random_connected_graph(120, 300, 5)
-    first = build_rwr(g_a, 0.7)
-    build_rwr(g_b, 0.7)
-    assert np.array_equal(build_rwr(g_a, 0.7), first)
+    assert [_path(g, monkeypatch) for g in (g_a, g_b)] == ["eliminate", "dense"]
+    first_a, first_b = _rwr_x(g_a, 0.7), _rwr_x(g_b, 0.7)
+    assert np.array_equal(_rwr_x(g_a, 0.7), first_a)
     for c in (0.1, 0.5, 0.9):
-        build_rwr(g_a, c)
-    assert np.array_equal(build_rwr(g_a, 0.7), first)
+        _rwr_x(g_a, c)
+        _rwr_x(g_b, c)
+    assert np.array_equal(_rwr_x(g_b, 0.7), first_b)
+    assert np.array_equal(_rwr_x(g_a, 0.7), first_a)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
-def test_cross_component_scores_are_exactly_zero(c):
+def test_cross_component_scores_are_exactly_zero(c, monkeypatch):
     from scipy.sparse.csgraph import connected_components
 
-    # Graphs of 30 ids fit one LAPACK block; 150 ids are split into blocks.
-    for n_ids, n_edges in ((30, 25), (150, 120)):
+    # Graphs of 30 ids fit one LAPACK block; on 150 ids the independent set
+    # is eliminated first.
+    for n_ids, n_edges, path in ((30, 25, "dense"), (150, 120, "eliminate")):
         pairs_apart = 0
         for seed in range(20):
             g = random_simple_graph(n_ids, n_edges, seed)
+            assert _path(g, monkeypatch) == path
             _, label = connected_components(g.adjacency_matrix, directed=False)
             apart = label[:, None] != label
             pairs_apart += apart.sum()
-            assert np.all(build_rwr(g, c)[apart] == 0.0)
+            assert np.all(_rwr_x(g, c)[apart] == 0.0)
         assert pairs_apart > 0
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
-def test_scores_on_blocked_graphs(c):
+def test_scores_on_blocked_graphs(c, monkeypatch):
     # Above 2 * _LEAF nodes the inverse is split into blocks and is symmetric
     # to rounding only; the scores must still be exactly symmetric.
     from scipy.sparse.csgraph import connected_components
@@ -231,6 +270,7 @@ def test_scores_on_blocked_graphs(c):
     graphs = [random_connected_graph(2 * rwr._LEAF + 5 + 40 * seed, 350, seed)
               for seed in range(2)]
     graphs += [random_simple_graph(150 + 20 * seed, 120, seed) for seed in range(2)]
+    assert [_path(g, monkeypatch) for g in graphs] == ["dense"] + ["eliminate"] * 3
     pairs_apart = 0
     for g in graphs:
         n = g.num_nodes
@@ -270,37 +310,49 @@ def test_transition_is_the_dense_division_bit_for_bit():
 
 
 def _dense_formation(g, c):
-    """N = sqrt(P * P^T) over all n^2 entries, scaled by -c, then the same
-    inverse as ``build_rwr``. Returns the matrix handed to the inverse, as it
-    was then, and its inverse X."""
+    """B = I - c N with N = sqrt(P * P^T) over all n^2 entries, scaled by -c,
+    in the order of ``build_rwr``'s X: the independent set first when it is
+    eliminated. Returns the matrix handed to ``_spd_inverse``, as it was
+    then, and X from the same steps as ``build_rwr``."""
     P = g.adjacency_matrix / g.degrees[:, None]
     B = np.sqrt(P * P.T) * -c
     B.flat[:: B.shape[0] + 1] += 1.0
-    inverted = B.copy()
-    return inverted, rwr._spd_inverse(B)
+    lead = g.independent_set
+    if len(lead) <= rwr._LEAF:
+        return B.copy(), rwr._spd_inverse(B)
+    order = np.concatenate((lead, np.setdiff1d(np.arange(g.num_nodes), lead)))
+    B = B[np.ix_(order, order)]
+    k = len(lead)
+    W = B[:k, k:]
+    assert np.array_equal(B[:k, :k], np.eye(k))  # no two nodes of the set are adjacent
+    return B[k:, k:] - W.T @ W, rwr._eliminate(B, k)
 
 
 @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9])
 def test_rwr_matches_the_dense_formation_bit_for_bit(c, monkeypatch):
     # BLAS sums drop the sign of a zero, so X alone would not show a non-edge
     # of I - c N left at +0.0; the matrix handed to the inverse is checked too.
+    # On the elimination path that matrix is S = B_CC - W^T W, W = B_IC.
     spd_inverse, inverted = rwr._spd_inverse, []
 
     def recording(B):
         inverted.append(B.copy())
         return spd_inverse(B)
 
-    for g in _dense_contract_graphs():
+    graphs = list(_dense_contract_graphs())
+    assert ([_path(g, monkeypatch) for g in graphs]
+            == ["eliminate", "dense", "eliminate", "dense", "eliminate", "eliminate"])
+    for g in graphs:
         expected_B, expected_X = _dense_formation(g, c)
         inverted.clear()
         with monkeypatch.context() as m:
             m.setattr(rwr, "_spd_inverse", recording)
-            X = build_rwr(g, c)
+            X, _ = build_rwr(g, c)
         assert _bitwise_equal(inverted[0], expected_B)
         assert _bitwise_equal(X, expected_X)
 
 
-@pytest.mark.parametrize("build", [build_transition, lambda g: build_rwr(g, 0.5)],
+@pytest.mark.parametrize("build", [build_transition, lambda g: build_rwr(g, 0.5)[0]],
                          ids=["transition", "rwr"])
 def test_each_call_returns_a_fresh_writable_buffer(build):
     g = random_connected_graph(120, 300, 6)

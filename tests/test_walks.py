@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import SHUFFLED_RING_EDGES, edge_lists, neighbor_sets
+from conftest import SHUFFLED_RING_EDGES, edge_lists, neighbor_sets, random_connected_graph
 from linkpred import datasets, walks
 from linkpred.graph import Graph
+from linkpred.rwr import build_transition
 from linkpred.walks import WalkParams, build_alias_table, generate_corpus, sorted_neighbors
 
 ALIAS_SETTINGS = [(0.25, 4.0), (1.0, 1.0), (4.0, 0.25)]
@@ -265,6 +266,23 @@ class TestRestartWalk:
             back = moves[moves[:, 0] == 0, 1] == 0
             sigma = math.sqrt(c * (1 - c) / len(back))
             assert abs(back.mean() - (1 - c)) < 4 * sigma, c
+
+    def test_step_law_is_the_rwr_recursion(self):
+        # At step s a restart walker from x is at pi_s = c P^T pi_{s-1} + (1 - c) e_x,
+        # pi_0 = e_x: the walk whose limit is column x of the RWR resolvent.
+        from scipy.stats import chisquare
+
+        g, c, s, r = random_connected_graph(12, 20, 3), 0.7, 3, 4000
+        n = g.num_nodes
+        pi = np.eye(n)
+        for _ in range(s):
+            pi = c * build_transition(g).T @ pi + (1 - c) * np.eye(n)
+        walks = np.array(generate_corpus(g, _restart(s, r, c), seed=11))
+        for x in range(n):
+            observed = np.bincount(walks[walks[:, 0] == x, s], minlength=n)
+            reach = pi[:, x] > 0
+            assert not observed[~reach].any(), x
+            assert chisquare(observed[reach], r * pi[reach, x]).pvalue > 1e-4, x
 
 
 class TestGenerateCorpus:
