@@ -10,11 +10,13 @@ kind, c value, dimension, ...) is evaluated on the same train/test
 partitions, trial by trial. Per trial, the training graph is built once,
 from the split's (k, 2) array of training node ids, and the n draws are
 made once, as an (n, 4) array of the training graph's dense node indices;
-every level scores that same graph and those same draws as two score
-arrays; a scorer without a batch form (``Scorer.pairs``) is called once per
-pair. The graph caches the arrays that scorers read from it (its
-adjacency matrix and the packed adjacency rows that common-neighbor counts
-are taken from), so the levels of a trial build each once.
+every level scores that same graph and those same draws in one call, the
+withheld pairs followed by the non-edges; a scorer without a batch form
+(``Scorer.pairs``) is called once per pair, in that order. The graph caches
+the arrays that scorers read from it (its adjacency matrix and the packed
+adjacency rows that common-neighbor counts are taken from), and keeps the
+AND of the packed rows at the last pairs asked for, so the levels of a
+trial build each once and intersect the rows of its pairs once.
 """
 
 from __future__ import annotations
@@ -158,20 +160,22 @@ def estimate_auc(g_train: Graph, draws: np.ndarray, scorer: Scorer) -> AucTally:
     """Score each drawn pair on ``g_train`` and tally the comparisons.
 
     A withheld edge marked -1 scores 0. Any score that does not compare
-    (NaN) counts as a loss. The withheld pairs are scored first, then the
-    non-edges. When no row is marked -1 (every withheld edge of a trial is
-    in its training graph, as in nearly all trials), the withheld columns
-    are scored as they are; otherwise only the present rows are scored,
-    into zeros.
+    (NaN) counts as a loss. The scorer is called once, on the withheld
+    pairs, in draw order, followed by the non-edges. When no row is marked
+    -1 (every withheld edge of a trial is in its training graph, as in
+    nearly all trials), the withheld columns are scored as they are;
+    otherwise only the present rows are scored, and their scores are
+    placed into zeros.
     """
     pairs = scorer.pairs or _per_pair_batch(g_train, scorer.score)
-    if draws[:, 0].min(initial=0) >= 0:
-        existing = pairs(draws[:, 0], draws[:, 1])
-    else:
-        present = draws[:, 0] >= 0
+    withheld = draws if draws[:, 0].min(initial=0) >= 0 else draws[draws[:, 0] >= 0]
+    k = len(withheld)
+    scores = pairs(np.concatenate((withheld[:, 0], draws[:, 2])),
+                   np.concatenate((withheld[:, 1], draws[:, 3])))
+    existing, nonexistent = scores[:k], scores[k:]
+    if k < len(draws):
         existing = np.zeros(len(draws))
-        existing[present] = pairs(draws[present, 0], draws[present, 1])
-    nonexistent = pairs(draws[:, 2], draws[:, 3])
+        existing[draws[:, 0] >= 0] = scores[:k]
     wins = int(np.count_nonzero(existing > nonexistent))
     ties = int(np.count_nonzero(existing == nonexistent))
     return AucTally(wins=wins, ties=ties, losses=len(draws) - wins - ties)

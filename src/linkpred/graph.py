@@ -75,8 +75,10 @@ class Graph:
     by one sort. All else is derived on first read and cached; all is
     read-only, as every scorer reads it. Common neighbors are counted at the
     pairs asked for (:meth:`common_neighbors`), from the packed adjacency
-    rows of ``neighbor_bits``; no n x n product is formed. RWR reads
-    ``independent_set``, once for all of its levels.
+    rows of ``neighbor_bits``; no n x n product is formed. The AND and the
+    counts at the last pairs asked for are kept, so levels that score the
+    same pairs share them. RWR reads ``independent_set``, once for all of
+    its levels.
     """
 
     def __init__(self, pairs: Union[Sequence[Edge], np.ndarray]):
@@ -91,6 +93,8 @@ class Graph:
         _, keep = _groups(np.minimum(*dense.T) * len(first) + np.maximum(*dense.T))
         self.nodes: np.ndarray = _read_only(ends.ravel()[first[order]])
         self.edges: np.ndarray = _read_only(dense[np.sort(keep)])
+        # The last pairs asked of common_neighbor_bits: [key, AND, counts].
+        self._last_pairs: list | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -157,13 +161,28 @@ class Graph:
             low, high = low[keep], high[keep]
         return _read_only(np.flatnonzero(taken | live))  # no live node has a live neighbor
 
+    def common_neighbor_bits(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(len(rows), ceil(n / 64)) uint64, read-only: row i is the AND of the
+        ``neighbor_bits`` rows of ``rows[i]`` and ``cols[i]``. Kept for the last
+        pairs asked for, keyed by a copy of their dtypes and bytes, and
+        returned again for equal keys."""
+        key = (rows.dtype, rows.tobytes(), cols.dtype, cols.tobytes())
+        if self._last_pairs is None or self._last_pairs[0] != key:
+            bits = self.neighbor_bits
+            both = bits.take(rows, axis=0) & bits.take(cols, axis=0)
+            self._last_pairs = [key, _read_only(both), None]
+        return self._last_pairs[1]
+
     def common_neighbors(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Float64 count of the common neighbors of each pair ``(rows[i], cols[i])``
-        of dense indices; a node has its degree in common with itself. Exact:
-        each count is a sum of at most n small integers."""
-        bits = self.neighbor_bits
-        both = np.bitwise_count(bits.take(rows, axis=0) & bits.take(cols, axis=0))
-        return both @ np.ones(bits.shape[1])
+        of dense indices, read-only, kept like :meth:`common_neighbor_bits`; a
+        node has its degree in common with itself. Exact: each count is a sum
+        of at most n small integers."""
+        both = self.common_neighbor_bits(rows, cols)
+        last = self._last_pairs
+        if last[2] is None:
+            last[2] = _read_only(np.bitwise_count(both) @ np.ones(both.shape[1]))
+        return last[2]
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

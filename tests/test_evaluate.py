@@ -187,6 +187,44 @@ def test_batch_form_replaces_per_pair_calls():
     assert tally == AucTally(wins=1, ties=1, losses=2)
 
 
+def test_one_scoring_call_per_level_withheld_pairs_first():
+    partition = split_edges(datasets.usair_like(1), 0.1, 0)
+    g_train = Graph(partition.train)
+    draws = draw_comparisons(partition, g_train, 300, seed=3)
+    assert draws.min() >= 0
+    absent = draws.copy()
+    absent[::7, :2] = -1
+    present = absent[:, 0] >= 0
+    calls, scored = [], []
+
+    def pairs(rows, cols):
+        calls.append((rows.tolist(), cols.tolist()))
+        return np.ones(len(rows))
+
+    def per_pair(g, u, v):
+        scored.append((u, v))
+        return 1.0
+
+    def ids(rows):
+        return [tuple(map(int, pair)) for pair in g_train.nodes[rows]]
+
+    for d in (draws, absent):
+        calls.clear()
+        scored.clear()
+        batch = estimate_auc(g_train, d, Scorer("batch", per_pair, pairs))
+        # the withheld pairs in draw order (present ones only), then the non-edges
+        withheld = d[d[:, 0] >= 0]
+        assert calls == [(withheld[:, 0].tolist() + d[:, 2].tolist(),
+                          withheld[:, 1].tolist() + d[:, 3].tolist())]
+        assert scored == []
+        # a per-pair scorer is called on the same pairs, in the same order
+        single = estimate_auc(g_train, d, Scorer("per_pair", per_pair))
+        assert scored == ids(withheld[:, :2]) + ids(d[:, 2:])
+        assert batch == single
+    # every score is 1: present rows tie, and a row marked -1 scores 0 and loses
+    assert batch == AucTally(wins=0, ties=int(present.sum()), losses=int((~present).sum()))
+
+
 def test_builtin_scorers_have_a_batch_form():
     g = datasets.chesapeake_like()
     for factory in GOLDEN_LEVELS + EMBED_LEVELS:

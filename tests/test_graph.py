@@ -17,6 +17,7 @@ from linkpred.graph import (
     sample_non_neighbor,
     split_edges,
 )
+from linkpred.indices import LOCAL_INDICES
 from linkpred.rwr import build_rwr, build_transition
 
 
@@ -166,6 +167,28 @@ class TestGraphQueries:
         for g in (g1, Graph([])):
             counts = g.common_neighbors(none, none)
             assert counts.shape == (0,) and counts.dtype == np.float64
+
+    def test_pair_work_is_kept_by_value(self):
+        # A graph keeps the work of its last pairs. Mutating the asked arrays in
+        # place, or asking other pairs of the same length, must not return it.
+        g = Graph(split_edges(datasets.florida_like(1), 0.1, 0).train)
+        adjacency, ids = neighbor_sets(g), g.node_list
+        rng = np.random.default_rng(5)
+        rows, cols = rng.integers(g.num_nodes, size=(2, 200))
+
+        def check(counts, rows, cols):
+            expected = [len(adjacency[ids[u]] & adjacency[ids[v]])
+                        for u, v in zip(rows.tolist(), cols.tolist())]
+            assert not counts.flags.writeable
+            assert not g.common_neighbor_bits(rows, cols).flags.writeable
+            assert counts.tolist() == expected
+            return expected
+
+        before = check(g.common_neighbors(rows, cols), rows, cols)
+        rows[-1] = cols[-1]  # the last pair only: a node shares its degree with itself
+        assert check(g.common_neighbors(rows, cols), rows, cols) != before
+        other_rows, other_cols = rng.integers(g.num_nodes, size=(2, 200))
+        check(g.common_neighbors(other_rows, other_cols), other_rows, other_cols)
 
     def test_self_loop_rejected(self):
         for pairs in ([(1, 1)], [(0, 1), (2, 2)], np.array([[0, 1], [3, 3]])):
@@ -477,6 +500,13 @@ class TestInvariants:
         assert g.neighbor_bits.shape == (n, (n + 63) // 64)
         assert np.bitwise_count(g.neighbor_bits).sum(axis=1).tolist() == g.degrees.tolist()
         _assert_counts_are_set_intersections(g, _every_pair_counts(g))
+        # aa at the same pairs reads the AND kept from the counts; unpacked, it
+        # must give the boolean row intersection, bit for bit
+        rows, cols = np.indices((n, n)).reshape(2, -1)
+        k, A = g.degrees, g.adjacency_matrix
+        weight = np.divide(1.0, np.log10(k), out=np.zeros(n), where=k > 1)
+        assert np.array_equal(LOCAL_INDICES["aa"](g, rows, cols),
+                              np.einsum("ij,j->i", A[rows] & A[cols], weight))
 
     @pytest.mark.parametrize("name", ["usair_like", "florida_like", "chesapeake_like"])
     def test_common_neighbor_counts_equal_the_full_product(self, name):

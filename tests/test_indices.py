@@ -209,3 +209,23 @@ def test_neighbor_bits_built_once_per_training_graph(monkeypatch):
                    comparisons=200)
     assert len(builds) == 3
     assert len({id(g) for g in builds}) == 3
+
+
+def test_packed_rows_intersected_once_per_training_graph(monkeypatch):
+    # The six local levels score the same pairs, so the AND of the packed
+    # rows at those pairs is taken once per trial: neighbor_bits is read
+    # only when the graph's last pairs differ from the asked ones.
+    reads = []
+
+    class CountingGraph(Graph):
+        @property
+        def neighbor_bits(self):
+            reads.append(self)
+            return Graph.neighbor_bits.__get__(self)
+
+    monkeypatch.setattr(evaluate, "Graph", CountingGraph)
+    levels = [local_index_factory(kind) for kind in LOCAL_INDICES]
+    run_experiment(random_connected_graph(40, 120, seed=3), levels, trials=3,
+                   comparisons=200)
+    assert len(reads) == 3
+    assert len({id(g) for g in reads}) == 3
