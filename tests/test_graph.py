@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import G1_EDGES, edge_lists, neighbor_sets
+from conftest import G1_EDGES, edge_lists, grid_adamic_adar, neighbor_sets
 from linkpred import datasets
 from linkpred.graph import (
     EdgeListParseError,
@@ -500,13 +500,11 @@ class TestInvariants:
         assert g.neighbor_bits.shape == (n, (n + 63) // 64)
         assert np.bitwise_count(g.neighbor_bits).sum(axis=1).tolist() == g.degrees.tolist()
         _assert_counts_are_set_intersections(g, _every_pair_counts(g))
-        # aa at the same pairs reads the AND kept from the counts; unpacked, it
-        # must give the boolean row intersection, bit for bit
+        # aa at the same pairs reads the bytes of the AND kept from the counts;
+        # it must weigh the boolean row intersection, bit for bit
         rows, cols = np.indices((n, n)).reshape(2, -1)
-        k, A = g.degrees, g.adjacency_matrix
-        weight = np.divide(1.0, np.log10(k), out=np.zeros(n), where=k > 1)
         assert np.array_equal(LOCAL_INDICES["aa"](g, rows, cols),
-                              np.einsum("ij,j->i", A[rows] & A[cols], weight))
+                              grid_adamic_adar(g, rows, cols))
 
     @pytest.mark.parametrize("name", ["usair_like", "florida_like", "chesapeake_like"])
     def test_common_neighbor_counts_equal_the_full_product(self, name):

@@ -4,8 +4,9 @@ from functools import cached_property
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import edge_lists, neighbor_sets, random_connected_graph
+from conftest import edge_lists, grid_adamic_adar, neighbor_sets, random_connected_graph
 from linkpred import datasets, evaluate, indices
 from linkpred.evaluate import derive_seed, draw_comparisons, run_experiment
 from linkpred.graph import Graph, split_edges
@@ -155,10 +156,11 @@ def test_adamic_adar_guard_is_unreachable(pairs):
 
 
 
-def test_adamic_adar_blocks_match_one_shot_einsum():
+def test_adamic_adar_blocks_match_grid_fsum():
     # The 1,000 non-edge draws of a usair_like trial repeat pairs and end in a
     # partial block; every ordered pair of a florida_like training graph spans
-    # many blocks. The one-shot einsum over all pairs is the reference.
+    # many blocks. The math.fsum of each pair's grid weights is the reference,
+    # bit for bit.
     partition = split_edges(datasets.usair_like(1), 0.1, 0)
     usair = Graph(partition.train)
     draws = draw_comparisons(partition, usair, 1000, derive_seed(0, "auc"))
@@ -168,11 +170,43 @@ def test_adamic_adar_blocks_match_one_shot_einsum():
     cases = ((usair, draws[:, 2], draws[:, 3]), (florida, *_ordered_pairs(florida)[1:]))
     for g, rows, cols in cases:
         assert len(rows) > indices._AA_BLOCK
-        k = g.degrees
-        weight = np.divide(1.0, np.log10(k), out=np.zeros(len(k)), where=k > 1)
-        A = g.adjacency_matrix
-        expected = np.einsum("ij,j->i", A[rows] & A[cols], weight)
-        assert np.array_equal(indices._adamic_adar(g, rows, cols), expected)
+        assert np.array_equal(indices._adamic_adar(g, rows, cols),
+                              grid_adamic_adar(g, rows, cols))
+
+
+# (partition seed, draw row) of chesapeake_like trials whose withheld and
+# non-edge pairs share neighbors of the same degrees: (11, 19, 20, 24) at
+# seed 14, (17, 19, 21) at seed 6 and (14, 20, 21) at seed 48.
+EQUAL_DEGREE_DRAWS = [(14, 23), (14, 421), (6, 373), (48, 228)]
+
+
+@pytest.mark.parametrize("seed,row", EQUAL_DEGREE_DRAWS)
+def test_adamic_adar_ties_equal_shared_degrees(seed, row):
+    # Pairs whose shared neighbors have the same degrees score the same, so
+    # the tally counts a tie, not a win or a loss by an ulp of rounding.
+    partition = split_edges(datasets.chesapeake_like(), 0.1, seed)
+    g = Graph(partition.train)
+    u, v, a, b = draw_comparisons(partition, g, 1000, derive_seed(seed, "auc"))[row]
+    A = g.adjacency_matrix
+    assert sorted(g.degrees[A[u] & A[v]]) == sorted(g.degrees[A[a] & A[b]])
+    withheld, non_edge = indices._adamic_adar(g, np.array([u, a]), np.array([v, b]))
+    assert withheld == non_edge
+
+
+@given(edge_lists(), st.integers(0, 2**32 - 1))
+def test_adamic_adar_bits_do_not_depend_on_pair_order(pairs, seed):
+    # Every ordered pair, repeated past two block boundaries, then shuffled:
+    # each score has the same bits in any position and any block, and as the
+    # only pair asked for.
+    g = Graph(pairs)
+    _, rows, cols = _ordered_pairs(g)
+    alone = [indices._adamic_adar(g, rows[i:i + 1], cols[i:i + 1])[0]
+             for i in range(len(rows))]
+    rows, cols = (np.resize(x, 2 * indices._AA_BLOCK + 1) for x in (rows, cols))
+    scores = indices._adamic_adar(g, rows, cols)
+    assert scores.tolist() == np.resize(alone, len(rows)).tolist()
+    order = np.random.default_rng(seed).permutation(len(rows))
+    assert np.array_equal(indices._adamic_adar(g, rows[order], cols[order]), scores[order])
 
 
 @given(edge_lists())
@@ -186,7 +220,7 @@ def test_batch_forms_match_per_pair(pairs):
         with np.errstate(all="raise"):
             got = scorer.pairs(rows, cols)
             expected = [scorer.score(g, u, v) for u, v in ordered]
-        if kind in ("aa", "lhn1_var"):  # numpy summation order may differ
+        if kind == "lhn1_var":  # numpy log10 may take another loop for one pair
             assert got.tolist() == pytest.approx(expected, rel=1e-12, abs=0), kind
         else:
             assert got.tolist() == expected, kind
