@@ -147,7 +147,7 @@ def draw_comparisons(
 
 def _per_pair_batch(g_train: Graph, score: ScoreFn) -> PairsFn:
     """Batch form of a per-pair scorer: ``score`` called on each pair's node ids."""
-    nodes = g_train.node_list
+    nodes = g_train.nodes.tolist()
 
     def pairs(rows, cols):
         return np.array([score(g_train, nodes[u], nodes[v])

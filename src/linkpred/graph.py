@@ -105,18 +105,13 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def node_list(self) -> tuple[int, ...]:
-        """Node ids in dense-index order."""
-        return tuple(self.nodes.tolist())
-
-    @cached_property
     def edge_list(self) -> tuple[Edge, ...]:
         """Edges as (u, v) node-id pairs, in the order of ``edges``."""
         return tuple(map(tuple, self.nodes[self.edges].tolist()))
 
     @cached_property
     def dense_index(self) -> dict[int, int]:
-        return dict(zip(self.node_list, range(self.num_nodes)))
+        return dict(zip(self.nodes.tolist(), range(self.num_nodes)))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -288,7 +283,7 @@ def sample_non_neighbor(g: Graph, starts: np.ndarray, rng: np.random.Generator) 
     saturated = starts[g.degrees[starts] >= n - 1]
     if saturated.size:
         raise SaturatedNodeError(
-            f"node {g.node_list[saturated[0]]} is adjacent to every other node")
+            f"node {g.nodes[saturated[0]]} is adjacent to every other node")
     A = g.adjacency_matrix
     drawn = np.empty_like(starts)
     todo = np.arange(starts.size)

@@ -1,24 +1,21 @@
 """Skip-gram with negative sampling over walk corpora.
 
-A corpus entry is a table row: walks carry the graph's dense indices, so
-row i of either table is node ``Graph.nodes[i]``. The embedding lives in
-the input table; the output table is the context side. Training is plain
-sequential SGD over the shuffled (center, context) pair stream, with
-negatives drawn from the corpus unigram distribution raised to the 0.75
-power. Every update, in :func:`train` and in :func:`sgns_step`, is the same
-numpy arithmetic on one pair at a time.
+A corpus is a 2-D int array, a walk per row, and an entry is a table row:
+walks carry the graph's dense indices, so row i of either table is node
+``Graph.nodes[i]``. The embedding lives in the input table; the output table
+is the context side. Training is plain sequential SGD over the shuffled
+(center, context) pairs, with negatives drawn from the corpus unigram
+distribution raised to the 0.75 power. Every update, in :func:`train` and in
+:func:`sgns_step`, is the same numpy arithmetic on one pair at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-
-from .walks import Walk
 
 # Dot products are clamped to this magnitude before the sigmoid to keep the
 # exp/log arithmetic finite.
@@ -63,8 +60,10 @@ class EmbeddingModel:
         return int(self.input_vectors.shape[1])
 
 
-def pair_stream(corpus: Iterable[Walk], window: int) -> Iterator[tuple[int, int]]:
-    """(center, context) row pairs within ``window`` positions, clipped at walk ends."""
+def pair_stream(corpus: Iterable[Sequence[int]], window: int) -> Iterator[tuple[int, int]]:
+    """(center, context) row pairs within ``window`` positions, clipped at walk
+    ends, walk by walk: :func:`train`'s pair order, kept as the tests'
+    reference for that order and as the benchmark's pair counter."""
     if window < 1:
         raise ValueError("window must be >= 1")
     for walk in corpus:
@@ -112,8 +111,10 @@ def _update(inp: np.ndarray, out: np.ndarray, cen: int, rows: np.ndarray, lr: fl
     return float(loss)
 
 
-def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
-    """Train embeddings over a walk corpus of table rows.
+def train(walks: np.ndarray, config: TrainConfig) -> EmbeddingModel:
+    """Train embeddings over ``walks``: table rows, a walk per row of a 2-D
+    int array (ragged walks are not accepted). The pairs are
+    :func:`pair_stream`'s, in its order, gathered from one column template.
 
     The tables get ``max(row) + 1`` rows; a row that no walk visits keeps
     its initial vector and is never drawn as a negative. Input vectors start
@@ -124,13 +125,14 @@ def train(corpus: Iterable[Walk], config: TrainConfig) -> EmbeddingModel:
     epoch, rather than return vectors that would be written out as NaN.
     Single-threaded and deterministic for a fixed config seed.
     """
-    corpus = list(corpus)
-    counts = np.bincount(np.fromiter(chain.from_iterable(corpus), dtype=np.int64))
-    pairs = np.fromiter(chain.from_iterable(pair_stream(corpus, config.window)), dtype=np.int64)
-    if not pairs.size:
+    walks = np.atleast_2d(np.asarray(walks, dtype=np.int64))
+    counts = np.bincount(walks.ravel())
+    a = np.arange(walks.shape[1])
+    i, j = np.nonzero((abs(a[:, None] - a) <= config.window) & (a[:, None] != a))
+    centers_arr, contexts_arr = walks[:, i].ravel(), walks[:, j].ravel()
+    if not centers_arr.size:
         raise ValueError("corpus yields no context pairs")
 
-    centers_arr, contexts_arr = pairs.reshape(-1, 2).T
     n_nodes = len(counts)
     n_pairs = centers_arr.shape[0]
 

@@ -3,8 +3,8 @@
 Two walk laws: second-order (p, q)-weighted walks, stepped by rejection
 against a per-move weight bound, and restart walks that jump back to their
 start node. A walk of length ``l`` visits ``l + 1`` nodes (start plus l
-steps). Every node in a walk or a row is a dense index: a position in
-``Graph.nodes``.
+steps), and a corpus is one int64 array with a walk per row. Every node in
+a walk or a neighbor row is a dense index: a position in ``Graph.nodes``.
 
 Neighbor rows are CSR arrays ``(indptr, targets)``: the neighbors of x are
 ``targets[indptr[x]:indptr[x + 1]]``, ascending, and a position in
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-
-Walk = list[int]
 
 
 @dataclass(frozen=True)
@@ -84,9 +82,10 @@ def build_alias_table(g: Graph, p: float, q: float) -> np.ndarray:
     return np.maximum(np.maximum(1.0 / p, (common > 0) * 1.0), (g.degrees[x] - 1 > common) / q)
 
 
-def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
+def generate_corpus(g: Graph, params: WalkParams, seed: int) -> np.ndarray:
     """r walks per start node, ordered as r passes over the dense indices.
 
+    Returns an (r·n, l + 1) int64 array: row i is the walk from ``i % n``.
     All r·n walkers step together, one round per step, from one
     ``np.random.default_rng(seed)``; ``seed`` must be non-negative. Each step
     draws a uniform column of every walker's row. A restart walker moves there
@@ -121,4 +120,4 @@ def generate_corpus(g: Graph, params: WalkParams, seed: int) -> list[Walk]:
             col[todo] = rng.integers(degree[curr[todo]])
         slot = indptr[curr] + col
         walks[:, step] = targets[slot]
-    return walks.tolist()
+    return walks

@@ -48,7 +48,7 @@ def edge_lists(draw, max_nodes=12, max_edges=30):
 def neighbor_sets(g: Graph) -> dict[int, set[int]]:
     """Each node id's neighbor ids, read from ``g.edge_list`` alone, so that it
     is an oracle independent of the graph's matrices."""
-    nbrs: dict[int, set[int]] = {u: set() for u in g.node_list}
+    nbrs: dict[int, set[int]] = {u: set() for u in g.nodes.tolist()}
     for u, v in g.edge_list:
         nbrs[u].add(v)
         nbrs[v].add(u)

@@ -17,7 +17,7 @@ OTHER_SEED = 7
 def test_exact_counts(generator, nodes, edges, seed):
     g = generator(seed)
     assert (g.num_nodes, g.num_edges) == (nodes, edges)
-    assert sorted(g.node_list) == list(range(nodes))
+    assert sorted(g.nodes.tolist()) == list(range(nodes))
 
 
 def test_embedding_benchmark_graph_counts():

@@ -233,7 +233,8 @@ def test_builtin_scorers_have_a_batch_form():
 
 def test_score_is_the_batch_form_on_one_pair():
     g = datasets.chesapeake_like()
-    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
+    ids = g.nodes.tolist()
+    ordered = [(u, v) for u in ids for v in ids if u != v]
     rows = np.array([g.dense_index[u] for u, _ in ordered])
     cols = np.array([g.dense_index[v] for _, v in ordered])
     local = [local_index_factory(k) for k in LOCAL_INDICES]
@@ -368,7 +369,8 @@ def _reference_draws(partition, g_train, n, seed):
     from ``random.Random``, one withheld edge, start and non-neighbor at a time."""
     full_degree = g_train.num_nodes - 1
     adjacency = neighbor_sets(g_train)
-    starts = [u for u in g_train.node_list if len(adjacency[u]) < full_degree]
+    ids = g_train.nodes.tolist()
+    starts = [u for u in ids if len(adjacency[u]) < full_degree]
     index = g_train.dense_index
     test = partition.test.tolist()
     rng = random.Random(seed)
@@ -378,7 +380,7 @@ def _reference_draws(partition, g_train, n, seed):
         withheld = (index[u], index[v]) if u in index and v in index else (-1, -1)
         a = rng.choice(starts)
         while True:
-            b = rng.choice(g_train.node_list)
+            b = rng.choice(ids)
             if b != a and b not in adjacency[a]:
                 break
         draws.append((*withheld, index[a], index[b]))
@@ -429,7 +431,7 @@ def test_draw_law():
     train = tuple((0, i) for i in range(1, 7)) + ((1, 2), (2, 3), (4, 5))
     partition = _partition(train, ((1, 3), (3, 4), (2, 9)))
     g_train = Graph(partition.train)
-    index, nodes = g_train.dense_index, g_train.node_list
+    index, nodes = g_train.dense_index, g_train.nodes.tolist()
     adjacency = neighbor_sets(g_train)
     draws = draw_comparisons(partition, g_train, 200_000, seed=11)
     assert draws.shape == (200_000, 4) and draws.dtype == np.intp
@@ -495,7 +497,7 @@ class TestDrawComparisons:
         draws = draw_comparisons(partition, g_train, 300, seed=9)
         assert np.array_equal(draws, draw_comparisons(partition, g_train, 300, seed=9))
         assert len(draws) == 300
-        nodes, adjacency = g_train.node_list, neighbor_sets(g_train)
+        nodes, adjacency = g_train.nodes.tolist(), neighbor_sets(g_train)
         test = set(map(tuple, partition.test.tolist()))
         for u, v, a, b in draws.tolist():
             assert (nodes[u], nodes[v]) in test

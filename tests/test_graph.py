@@ -28,9 +28,9 @@ def _every_pair_counts(g):
 
 
 def _assert_counts_are_set_intersections(g, counts):
-    adjacency = neighbor_sets(g)
-    for u in g.node_list:
-        for v in g.node_list:
+    adjacency, ids = neighbor_sets(g), g.nodes.tolist()
+    for u in ids:
+        for v in ids:
             shared = adjacency[u] & adjacency[v]
             assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)
 
@@ -63,7 +63,7 @@ class TestLoadEdgeList:
     def test_self_loops_dropped_with_count(self, tmp_path):
         g, dropped = load_edge_list(_edge_file(tmp_path, "5 5\n0 1"))
         assert g.num_nodes == 2
-        assert set(g.node_list) == {0, 1}
+        assert set(g.nodes.tolist()) == {0, 1}
         assert g.num_edges == 1
         assert dropped == 1
 
@@ -135,7 +135,7 @@ class TestLoadEdgeList:
 
     def test_extreme_ids_are_kept_exactly(self, tmp_path):
         g, _ = load_edge_list(_edge_file(tmp_path, "9223372036854775807 -9223372036854775808"))
-        assert g.node_list == (2**63 - 1, -2**63)
+        assert g.nodes.tolist() == [2**63 - 1, -2**63]
         assert g.edge_list == ((2**63 - 1, -2**63),)
 
 
@@ -172,7 +172,7 @@ class TestGraphQueries:
         # A graph keeps the work of its last pairs. Mutating the asked arrays in
         # place, or asking other pairs of the same length, must not return it.
         g = Graph(split_edges(datasets.florida_like(1), 0.1, 0).train)
-        adjacency, ids = neighbor_sets(g), g.node_list
+        adjacency, ids = neighbor_sets(g), g.nodes.tolist()
         rng = np.random.default_rng(5)
         rows, cols = rng.integers(g.num_nodes, size=(2, 200))
 
@@ -198,7 +198,7 @@ class TestGraphQueries:
     def test_edge_order_is_first_seen(self):
         g = Graph([(3, 1), (1, 0), (0, 3)])
         assert g.edge_list == ((3, 1), (1, 0), (0, 3))
-        assert g.node_list == (3, 1, 0)
+        assert g.nodes.tolist() == [3, 1, 0]
 
 
 class TestSplitEdges:
@@ -329,7 +329,7 @@ class TestReferenceCanonicalizer:
         pairs = pairs + [(v, u) for u, v in pairs[::3]]  # reversed duplicates
         node_list, edge_list, adjacency = _reference_graph(pairs)
         g = Graph(pairs)
-        assert g.node_list == node_list
+        assert tuple(g.nodes.tolist()) == node_list
         assert g.edge_list == edge_list
         assert g.degrees.tolist() == [len(adjacency[u]) for u in node_list]
         expected = [[v in adjacency[u] for v in node_list] for u in node_list]
@@ -351,7 +351,8 @@ class TestReferenceCanonicalizer:
     ], ids=["empty", "one_edge", "reversed_duplicates", "extreme_ids"])
     def test_edge_cases(self, pairs, node_list, edge_list):
         g = Graph(pairs)
-        assert (g.node_list, g.edge_list) == (node_list, edge_list) == _reference_graph(pairs)[:2]
+        assert (tuple(g.nodes.tolist()), g.edge_list) == (node_list, edge_list)
+        assert (node_list, edge_list) == _reference_graph(pairs)[:2]
         assert g.nodes.dtype == g.edges.dtype == np.int64
         assert g.edges.shape == (len(edge_list), 2)
         n = len(node_list)
@@ -463,11 +464,12 @@ class TestInvariants:
         g = Graph(pairs)
         adjacency = neighbor_sets(g)
         assert sum(map(len, adjacency.values())) == 2 * g.num_edges
-        assert set(g.node_list) == {x for pair in pairs for x in pair}
-        assert len(set(g.node_list)) == g.num_nodes
+        ids = g.nodes.tolist()
+        assert set(ids) == {x for pair in pairs for x in pair}
+        assert len(set(ids)) == g.num_nodes
         assert sorted(g.dense_index.values()) == list(range(g.num_nodes))
         assert {frozenset(e) for e in g.edge_list} == {frozenset(p) for p in pairs}
-        assert g.degrees.tolist() == [len(adjacency[u]) for u in g.node_list]
+        assert g.degrees.tolist() == [len(adjacency[u]) for u in ids]
 
     @given(edge_lists())
     def test_adjacency_matrix_matches_neighbor_sets(self, pairs):
@@ -478,8 +480,9 @@ class TestInvariants:
         assert A.shape == (g.num_nodes, g.num_nodes)
         assert np.array_equal(A, A.T)
         assert not np.diagonal(A).any()
-        for u in g.node_list:
-            for v in g.node_list:
+        ids = g.nodes.tolist()
+        for u in ids:
+            for v in ids:
                 assert A[g.dense_index[u], g.dense_index[v]] == (v in adjacency[u])
 
     @given(edge_lists())

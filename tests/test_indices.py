@@ -52,7 +52,8 @@ def _score(g, kind, u, v):
 
 def _ordered_pairs(g):
     """Node ids and dense rows, cols of every ordered pair of distinct nodes."""
-    ordered = [(u, v) for u in g.node_list for v in g.node_list if u != v]
+    ids = g.nodes.tolist()
+    ordered = [(u, v) for u in ids for v in ids if u != v]
     rows = np.array([g.dense_index[u] for u, _ in ordered], dtype=np.intp)
     cols = np.array([g.dense_index[v] for _, v in ordered], dtype=np.intp)
     return ordered, rows, cols

@@ -127,8 +127,9 @@ class TestScore:
 
     def test_symmetric_exactly(self, g1):
         score = _rwr_score(g1, 0.7)
-        for u in g1.node_list:
-            for v in g1.node_list:
+        ids = g1.nodes.tolist()
+        for u in ids:
+            for v in ids:
                 assert score(g1, u, v) == score(g1, v, u)
 
     def test_unknown_node(self, g1):

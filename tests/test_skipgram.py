@@ -149,9 +149,11 @@ def _replay_train(corpus, config):
 
 
 class TestTrain:
-    def test_replays_as_sgns_steps(self, g1):
-        corpus = _corpus(g1, length=8, walks_per_node=3, seed=9)
-        config = TrainConfig(dim=6, window=2, epochs=3, negatives=3, seed=13)
+    # Windows as long as the walk or longer clip at both ends of every walk.
+    @pytest.mark.parametrize("length, window", [(8, 2), (1, 3), (5, 9)])
+    def test_replays_as_sgns_steps(self, g1, length, window):
+        corpus = _corpus(g1, length=length, walks_per_node=3, seed=9)
+        config = TrainConfig(dim=6, window=window, epochs=3, negatives=3, seed=13)
         model = train(corpus, config)
         replay = _replay_train(corpus, config)
         assert np.array_equal(model.input_vectors, replay.input_vectors)
@@ -192,8 +194,9 @@ class TestTrain:
             train(_corpus(g1), TrainConfig(dim=8, window=3, epochs=3))
 
     def test_empty_corpus(self):
-        with pytest.raises(ValueError):
-            train([], TrainConfig(dim=4))
+        for corpus in ([], np.empty((0, 5), np.int64)):
+            with pytest.raises(ValueError, match="no context pairs"):
+                train(corpus, TrainConfig(dim=4))
 
     def test_homophily_on_two_cliques(self):
         # two 15-cliques joined by one edge: intra-block similarity must win

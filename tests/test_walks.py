@@ -117,7 +117,7 @@ class TestAliasTable:
     def test_reconstruction_identity_random(self, pairs):
         # the oracle speaks node ids, the table dense indices
         g = Graph(pairs)
-        ids = g.node_list
+        ids = g.nodes.tolist()
         for p, q in ALIAS_SETTINGS + [(1e-300, 1.0), (1.0, 1e-300), (1e-308, 2e-308)]:
             bound = build_alias_table(g, p, q)
             for prev, curr in _moves(g):
@@ -150,6 +150,8 @@ class TestExtremeWeights:
         assert np.all(np.isfinite(build_alias_table(g1, 1e-308, 2e-308)))
         corpus = generate_corpus(g1, WalkParams(10, 2, p=1e-308, q=2e-308), seed=0)
         assert len(corpus) == 2 * g1.num_nodes
+        assert corpus.shape == (2 * g1.num_nodes, 11) and corpus.dtype == np.int64
+        assert corpus[:, 0].tolist() == list(range(g1.num_nodes)) * 2
         for walk in corpus:
             assert all(g1.adjacency_matrix[a, b] for a, b in zip(walk, walk[1:]))
 
@@ -215,7 +217,7 @@ class TestAliasDraw:
 class TestWeightedWalk:
     def test_single_edge_alternates(self):
         corpus = generate_corpus(Graph([(0, 1)]), WalkParams(10, 1), seed=0)
-        assert corpus == [[0, 1] * 5 + [0], [1, 0] * 5 + [1]]
+        assert corpus.tolist() == [[0, 1] * 5 + [0], [1, 0] * 5 + [1]]
 
     def test_length_one(self, g1):
         adjacency = neighbor_sets(g1)
@@ -244,11 +246,11 @@ def _restart(length, walks_per_node, c):
 class TestRestartWalk:
     def test_c_zero_stays_home(self, g1):
         corpus = generate_corpus(g1, _restart(5, 1, 0.0), seed=0)
-        assert corpus == [[x] * 6 for x in range(g1.num_nodes)]
+        assert corpus.tolist() == [[x] * 6 for x in range(g1.num_nodes)]
 
     def test_c_one_pure_walk(self):
         corpus = generate_corpus(Graph([(0, 1)]), _restart(6, 1, 1.0), seed=0)
-        assert corpus == [[0, 1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1]]
+        assert corpus.tolist() == [[0, 1, 0, 1, 0, 1, 0], [1, 0, 1, 0, 1, 0, 1]]
 
     def test_composition_invariant(self, g1):
         adjacency = neighbor_sets(g1)
@@ -296,12 +298,13 @@ class TestGenerateCorpus:
     def test_restart_c_zero_constant_walks(self, g1):
         params = WalkParams(length=4, walks_per_node=2, c=0.0, mode="restart")
         corpus = generate_corpus(g1, params, seed=0)
-        for walk in corpus:
+        for walk in corpus.tolist():
             assert walk == [walk[0]] * 5
 
     def test_deterministic(self, g1):
         params = WalkParams(length=10, walks_per_node=3, p=0.5, q=2.0)
-        assert generate_corpus(g1, params, seed=9) == generate_corpus(g1, params, seed=9)
+        first, second = (generate_corpus(g1, params, seed=9) for _ in range(2))
+        assert first.tolist() == second.tolist()
 
     def test_start_node_order(self, g1):
         params = WalkParams(length=2, walks_per_node=2)
@@ -343,7 +346,8 @@ CORPUS_SHA256 = {
 def test_golden_corpus(graph_name, params_name):
     g = getattr(datasets, graph_name)()
     corpus = generate_corpus(g, CORPUS_PARAMS[params_name], seed=0)
-    as_ids = [[g.node_list[x] for x in walk] for walk in corpus]
+    ids = g.nodes.tolist()
+    as_ids = [[ids[x] for x in walk] for walk in corpus]
     digest = hashlib.sha256(repr(as_ids).encode()).hexdigest()
     assert digest == CORPUS_SHA256[(graph_name, params_name)]
 
