@@ -212,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_embedding_options(p_auc)
     _add_classifier_options(p_auc)
     p_auc.add_argument("--out", required=True,
-                       help="prefix for <out>_trials.csv and <out>_summary.csv")
+                       help="prefix for <out>_trials.csv and <out>_summary.csv "
+                            "(summary only with --trials >= 2)")
     p_auc.set_defaults(func=cmd_auc)
 
     p_embed = sub.add_parser("embed", help="train and save node embeddings")

@@ -93,8 +93,8 @@ class Graph:
         _, keep = _groups(np.minimum(*dense.T) * len(first) + np.maximum(*dense.T))
         self.nodes: np.ndarray = _read_only(ends.ravel()[first[order]])
         self.edges: np.ndarray = _read_only(dense[np.sort(keep)])
-        # The last pairs asked of common_neighbor_bits: [key, AND, counts].
-        self._last_pairs: list | None = None
+        # The last pairs asked of common_neighbor_bits: (key, AND, counts).
+        self._last_pairs: tuple = (None, None, None)
 
     @property
     def num_nodes(self) -> int:
@@ -108,10 +108,6 @@ class Graph:
     def edge_list(self) -> tuple[Edge, ...]:
         """Edges as (u, v) node-id pairs, in the order of ``edges``."""
         return tuple(map(tuple, self.nodes[self.edges].tolist()))
-
-    @cached_property
-    def dense_index(self) -> dict[int, int]:
-        return dict(zip(self.nodes.tolist(), range(self.num_nodes)))
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -158,26 +154,24 @@ class Graph:
 
     def common_neighbor_bits(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(len(rows), ceil(n / 64)) uint64, read-only: row i is the AND of the
-        ``neighbor_bits`` rows of ``rows[i]`` and ``cols[i]``. Kept for the last
-        pairs asked for, keyed by a copy of their dtypes and bytes, and
-        returned again for equal keys."""
+        ``neighbor_bits`` rows of ``rows[i]`` and ``cols[i]``. Kept with its
+        :meth:`common_neighbors` counts for the last pairs asked for, keyed by
+        a copy of their dtypes and bytes, and returned again for equal keys."""
         key = (rows.dtype, rows.tobytes(), cols.dtype, cols.tobytes())
-        if self._last_pairs is None or self._last_pairs[0] != key:
+        if self._last_pairs[0] != key:
             bits = self.neighbor_bits
             both = bits.take(rows, axis=0) & bits.take(cols, axis=0)
-            self._last_pairs = [key, _read_only(both), None]
+            counts = np.bitwise_count(both) @ np.ones(both.shape[1])
+            self._last_pairs = (key, _read_only(both), _read_only(counts))
         return self._last_pairs[1]
 
     def common_neighbors(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Float64 count of the common neighbors of each pair ``(rows[i], cols[i])``
-        of dense indices, read-only, kept like :meth:`common_neighbor_bits`; a
+        of dense indices, read-only, kept with :meth:`common_neighbor_bits`; a
         node has its degree in common with itself. Exact: each count is a sum
         of at most n small integers."""
-        both = self.common_neighbor_bits(rows, cols)
-        last = self._last_pairs
-        if last[2] is None:
-            last[2] = _read_only(np.bitwise_count(both) @ np.ones(both.shape[1]))
-        return last[2]
+        self.common_neighbor_bits(rows, cols)
+        return self._last_pairs[2]
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

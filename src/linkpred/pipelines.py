@@ -1,24 +1,13 @@
-"""Scorer factories wiring the index, RWR, and embedding pipelines into the harness."""
+"""Scorer factories wiring the index, RWR, and embedding pipelines into the harness;
+each builds its ``Scorer`` from the batch form ``pairs`` alone."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 from functools import partial
 
-import numpy as np
-
 from . import indices, predictor, rwr, skipgram, walks
-from .evaluate import PairsFn, Scorer, ScorerFactory, ScoreFn, derive_seed
-
-
-def _one_pair(g_train, pairs: PairsFn) -> ScoreFn:
-    """Per-pair form of a batch scorer; reads ``dense_index`` per call, not per build."""
-
-    def score(g, u, v):
-        index = g_train.dense_index
-        return float(pairs(np.array([index[u]]), np.array([index[v]]))[0])
-
-    return score
+from .evaluate import Scorer, ScorerFactory, derive_seed
 
 
 def local_index_factory(kind: str) -> ScorerFactory:
@@ -30,31 +19,19 @@ def local_index_factory(kind: str) -> ScorerFactory:
     index = indices.LOCAL_INDICES[kind]
 
     def build(g_train, seed):
-        pairs = partial(index, g_train)
-        return Scorer(kind, _one_pair(g_train, pairs), pairs)
+        return Scorer(kind, pairs=partial(index, g_train))
 
     return ScorerFactory(kind, build)
 
 
 def rwr_factory(c: float) -> ScorerFactory:
     """Factory that scores pairs from the RWR resolvent of each training graph
-    (rwr.build_rwr). c is checked here, before any graph is read."""
+    (rwr.pair_scores). c is checked here, before any graph is read."""
     rwr.check_restart(c)
     tag = f"rwr_c={c:.15g}"
 
     def build(g_train, seed):
-        X, pos = rwr.build_rwr(g_train, c)
-        s = np.sqrt(g_train.degrees)
-        a = (1.0 - c) * s
-
-        def pairs(rows, cols):
-            # M[i, j] + M[j, i] of M = (1 - c) D^1/2 X D^-1/2 at i, j = rows, cols
-            # (held in X at r, q), each read entry scaled as a full scaling
-            # would; the terms swap under i <-> j.
-            r, q = pos[rows], pos[cols]
-            return X[r, q] * a[rows] / s[cols] + X[q, r] * a[cols] / s[rows]
-
-        return Scorer(tag, _one_pair(g_train, pairs), pairs)
+        return Scorer(tag, pairs=rwr.pair_scores(g_train, c))
 
     return ScorerFactory(tag, build)
 
@@ -86,10 +63,7 @@ def embedding_factory(
             g_train, vectors, operator, seed=derive_seed(seed, "negatives")
         )
         classifier = predictor.train_logistic(features, labels, reg_lambda, classifier_epochs)
-
-        def pairs(rows, cols):
-            return predictor.predict_pairs(classifier, vectors, rows, cols, operator)
-
-        return Scorer(tag, _one_pair(g_train, pairs), pairs)
+        return Scorer(tag, pairs=partial(predictor.predict_pairs, classifier, vectors,
+                                         operator=operator))
 
     return ScorerFactory(tag, build)

@@ -21,8 +21,9 @@ of 332 nodes, and the inverse runs at order ~220. A set of at most
 it stands. Block steps beat an LU solve of I - c P^T and an eigh of N that
 a c sweep could share (~12-18 ms, against ~2 ms for one inverse at
 n = 332, one BLAS thread); the set is all that the levels share. X is
-symmetric to a few ulps; a scorer scales only the entries it reads, and its
-score is exactly symmetric because its two terms swap under u <-> v.
+symmetric to a few ulps; a level scores through :func:`pair_scores`, which
+scales only the entries it reads, and its score is exactly symmetric because
+its two terms swap under u <-> v.
 Entries between two components are exactly 0: every product reaching them
 multiplies a structural zero. N is written over P on its 2m edge entries
 only, and the inverse in place, since a second n x n buffer is page-faulted
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .evaluate import PairsFn
 from .graph import Graph
 
 _LEAF = 48  # blocks up to this order are inverted by LAPACK
@@ -122,3 +124,18 @@ def build_rwr(g: Graph, c: float) -> tuple[np.ndarray, np.ndarray]:
     B *= -c  # over all of B, so a non-edge is -0.0 as in a dense sqrt(P * P.T) * -c
     B.flat[:: n + 1] += 1.0
     return (_eliminate(B, k) if k else _spd_inverse(B)), pos
+
+
+def pair_scores(g: Graph, c: float) -> PairsFn:
+    """The RWR level's batch scorer on ``g``: M[i, j] + M[j, i] at each pair
+    i, j = rows, cols of dense indices, read from one :func:`build_rwr` with
+    each entry scaled as a full scaling of X would scale it."""
+    X, pos = build_rwr(g, c)
+    s = np.sqrt(g.degrees)
+    a = (1.0 - c) * s
+
+    def pairs(rows, cols):
+        r, q = pos[rows], pos[cols]
+        return X[r, q] * a[rows] / s[cols] + X[q, r] * a[cols] / s[rows]
+
+    return pairs

@@ -55,6 +55,12 @@ def neighbor_sets(g: Graph) -> dict[int, set[int]]:
     return nbrs
 
 
+def dense_positions(g: Graph) -> dict[int, int]:
+    """Each node id's position in ``g.nodes``: its dense index, the index
+    space that scorers and draws use."""
+    return {u: i for i, u in enumerate(g.nodes.tolist())}
+
+
 def grid_adamic_adar(g: Graph, rows, cols) -> list[float]:
     """Adamic-Adar at each pair ``(rows[i], cols[i])`` of dense indices on the
     fixed-point grid: each weight 1/log10 k rounded to the nearest multiple of

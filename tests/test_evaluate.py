@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import neighbor_sets
+from conftest import dense_positions, neighbor_sets
 from linkpred import datasets, evaluate
 from linkpred.evaluate import (
     AucTally,
@@ -149,8 +149,8 @@ TALLY_SCORES = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 0.5,
                 (2, 3): float("nan")}
 
 
-def _table_score(g, u, v):
-    return TALLY_SCORES[(u, v)]
+def _table_score(g, i, j):
+    return TALLY_SCORES[(i, j)]
 
 
 def _table_batch(rows, cols):
@@ -201,12 +201,9 @@ def test_one_scoring_call_per_level_withheld_pairs_first():
         calls.append((rows.tolist(), cols.tolist()))
         return np.ones(len(rows))
 
-    def per_pair(g, u, v):
-        scored.append((u, v))
+    def per_pair(g, i, j):
+        scored.append((i, j))
         return 1.0
-
-    def ids(rows):
-        return [tuple(map(int, pair)) for pair in g_train.nodes[rows]]
 
     for d in (draws, absent):
         calls.clear()
@@ -217,9 +214,9 @@ def test_one_scoring_call_per_level_withheld_pairs_first():
         assert calls == [(withheld[:, 0].tolist() + d[:, 2].tolist(),
                           withheld[:, 1].tolist() + d[:, 3].tolist())]
         assert scored == []
-        # a per-pair scorer is called on the same pairs, in the same order
+        # a per-pair scorer is called on the same dense pairs, in the same order
         single = estimate_auc(g_train, d, Scorer("per_pair", per_pair))
-        assert scored == ids(withheld[:, :2]) + ids(d[:, 2:])
+        assert scored == list(map(tuple, withheld[:, :2].tolist() + d[:, 2:].tolist()))
         assert batch == single
     # every score is 1: present rows tie, and a row marked -1 scores 0 and loses
     assert batch == AucTally(wins=0, ties=int(present.sum()), losses=int((~present).sum()))
@@ -231,16 +228,19 @@ def test_builtin_scorers_have_a_batch_form():
         assert factory.build(g, 0).pairs is not None, factory.tag
 
 
+def test_scorer_needs_score_or_pairs():
+    with pytest.raises(ValueError, match="neither score nor pairs"):
+        Scorer("empty")
+
+
 def test_score_is_the_batch_form_on_one_pair():
     g = datasets.chesapeake_like()
-    ids = g.nodes.tolist()
-    ordered = [(u, v) for u in ids for v in ids if u != v]
-    rows = np.array([g.dense_index[u] for u, _ in ordered])
-    cols = np.array([g.dense_index[v] for _, v in ordered])
+    rows, cols = np.nonzero(~np.eye(g.num_nodes, dtype=bool))  # every ordered dense pair
     local = [local_index_factory(k) for k in LOCAL_INDICES]
     for factory in local + [rwr_factory(0.5)] + EMBED_LEVELS:
         scorer = factory.build(g, 0)
-        assert scorer.pairs(rows, cols).tolist() == [scorer.score(g, u, v) for u, v in ordered]
+        expected = [scorer.score(g, i, j) for i, j in zip(rows.tolist(), cols.tolist())]
+        assert scorer.pairs(rows, cols).tolist() == expected
 
 
 def _masked_tally(draws, scorer):
@@ -259,7 +259,9 @@ def _masked_tally(draws, scorer):
                                           ("chesapeake_like", GOLDEN_LEVELS + EMBED_LEVELS)])
 def test_tally_matches_the_masked_reference(name, levels):
     # Draws with every withheld edge present take the unmasked path; the same
-    # draws with every seventh row marked -1 take the masked one.
+    # draws with every seventh row marked -1 take the masked one. Each level
+    # is also scored pair by pair through its derived ``score`` alone, as a
+    # scorer that wraps it (the bench's traced run) does.
     partition = split_edges(getattr(datasets, name)(1), 0.1, 0)
     g_train = Graph(partition.train)
     present = draw_comparisons(partition, g_train, 1000, seed=3)
@@ -268,8 +270,11 @@ def test_tally_matches_the_masked_reference(name, levels):
     absent[::7, :2] = -1
     for factory in levels:
         scorer = factory.build(g_train, 0)
+        per_pair = Scorer(factory.tag, scorer.score)
         for draws in (present, absent):
-            assert estimate_auc(g_train, draws, scorer) == _masked_tally(draws, scorer), factory.tag
+            expected = _masked_tally(draws, scorer)
+            assert estimate_auc(g_train, draws, scorer) == expected, factory.tag
+            assert estimate_auc(g_train, draws, per_pair) == expected, factory.tag
 
 
 @pytest.mark.parametrize("base_seed, trials", [(-1, 3), (-2, 5), (-9, 11)])
@@ -371,7 +376,7 @@ def _reference_draws(partition, g_train, n, seed):
     adjacency = neighbor_sets(g_train)
     ids = g_train.nodes.tolist()
     starts = [u for u in ids if len(adjacency[u]) < full_degree]
-    index = g_train.dense_index
+    index = dense_positions(g_train)
     test = partition.test.tolist()
     rng = random.Random(seed)
     draws = []
@@ -397,7 +402,7 @@ def _check_withheld_lookup(partition, g_train, n, seed):
     """The withheld columns of the draws are the test edges mapped through
     ``dense_index``, -1, -1 when an endpoint is absent, picked by the
     Generator's first call."""
-    index = g_train.dense_index
+    index = dense_positions(g_train)
     expected = np.array([(index[u], index[v]) if u in index and v in index else (-1, -1)
                          for u, v in partition.test.tolist()], dtype=np.intp)
     picks = np.random.default_rng(seed).integers(len(expected), size=n)
@@ -420,7 +425,7 @@ def test_absent_endpoints_anywhere_in_the_id_order_map_to_minus_one():
                            ((-6, 10), (20, 25), (40, 41), (-2**63, 2**63 - 1), (10, 30), (40, -5)))
     g_train = Graph(partition.train)
     draws = _check_withheld_lookup(partition, g_train, 500, seed=4)
-    index = g_train.dense_index
+    index = dense_positions(g_train)
     rows = set(map(tuple, draws[:, :2].tolist()))
     assert rows == {(-1, -1), (index[10], index[30]), (index[40], index[-5])}
 
@@ -431,7 +436,7 @@ def test_draw_law():
     train = tuple((0, i) for i in range(1, 7)) + ((1, 2), (2, 3), (4, 5))
     partition = _partition(train, ((1, 3), (3, 4), (2, 9)))
     g_train = Graph(partition.train)
-    index, nodes = g_train.dense_index, g_train.nodes.tolist()
+    index, nodes = dense_positions(g_train), g_train.nodes.tolist()
     adjacency = neighbor_sets(g_train)
     draws = draw_comparisons(partition, g_train, 200_000, seed=11)
     assert draws.shape == (200_000, 4) and draws.dtype == np.intp
@@ -511,7 +516,7 @@ class TestDrawComparisons:
         g_train = Graph(partition.train)
         assert len(neighbor_sets(g_train)[0]) == g_train.num_nodes - 1
         draws = draw_comparisons(partition, g_train, 500, seed=3)
-        assert g_train.dense_index[0] not in draws[:, 2:]
+        assert dense_positions(g_train)[0] not in draws[:, 2:]
 
     def test_complete_training_graph_raises(self):
         partition = _partition(((0, 1), (0, 2), (1, 2)), ((2, 3),))

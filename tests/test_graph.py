@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import G1_EDGES, edge_lists, grid_adamic_adar, neighbor_sets
+from conftest import G1_EDGES, dense_positions, edge_lists, grid_adamic_adar, neighbor_sets
 from linkpred import datasets
 from linkpred.graph import (
     EdgeListParseError,
@@ -28,11 +28,11 @@ def _every_pair_counts(g):
 
 
 def _assert_counts_are_set_intersections(g, counts):
-    adjacency, ids = neighbor_sets(g), g.nodes.tolist()
-    for u in ids:
-        for v in ids:
+    adjacency, index = neighbor_sets(g), dense_positions(g)
+    for u in index:
+        for v in index:
             shared = adjacency[u] & adjacency[v]
-            assert counts[g.dense_index[u], g.dense_index[v]] == len(shared)
+            assert counts[index[u], index[v]] == len(shared)
 
 
 @st.composite
@@ -122,7 +122,7 @@ class TestLoadEdgeList:
         path.write_text("10 20\n20 30\n")
         g, _ = load_edge_list(path)
         assert g.num_nodes == 3
-        assert g.dense_index == {10: 0, 20: 1, 30: 2}
+        assert g.nodes.tolist() == [10, 20, 30]
 
     @pytest.mark.parametrize("text, node", [
         ("0 9223372036854775808", "9223372036854775808"),
@@ -146,15 +146,16 @@ class TestGraphQueries:
 
     def test_degree_path(self):
         g = Graph([(0, 1), (1, 2)])
-        assert g.degrees[g.dense_index[1]] == 2
-        assert g.degrees[g.dense_index[0]] == 1
+        index = dense_positions(g)
+        assert g.degrees[index[1]] == 2
+        assert g.degrees[index[0]] == 1
 
     def test_degree_star(self):
         g = Graph([(0, i) for i in range(1, 6)])
         assert g.degrees.tolist() == [5, 1, 1, 1, 1, 1]
 
     def test_shared_neighbors_g1(self, g1):
-        counts, index = _every_pair_counts(g1), g1.dense_index
+        counts, index = _every_pair_counts(g1), dense_positions(g1)
         assert counts[index[1], index[2]] == 2  # {0, 3}
         assert counts[index[0], index[4]] == 0
 
@@ -467,7 +468,7 @@ class TestInvariants:
         ids = g.nodes.tolist()
         assert set(ids) == {x for pair in pairs for x in pair}
         assert len(set(ids)) == g.num_nodes
-        assert sorted(g.dense_index.values()) == list(range(g.num_nodes))
+        assert sorted(dense_positions(g).values()) == list(range(g.num_nodes))
         assert {frozenset(e) for e in g.edge_list} == {frozenset(p) for p in pairs}
         assert g.degrees.tolist() == [len(adjacency[u]) for u in ids]
 
@@ -480,10 +481,10 @@ class TestInvariants:
         assert A.shape == (g.num_nodes, g.num_nodes)
         assert np.array_equal(A, A.T)
         assert not np.diagonal(A).any()
-        ids = g.nodes.tolist()
-        for u in ids:
-            for v in ids:
-                assert A[g.dense_index[u], g.dense_index[v]] == (v in adjacency[u])
+        index = dense_positions(g)
+        for u in index:
+            for v in index:
+                assert A[index[u], index[v]] == (v in adjacency[u])
 
     @given(edge_lists())
     def test_shared_neighbors_symmetric(self, pairs):

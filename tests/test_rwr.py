@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import neighbor_sets, random_connected_graph, random_simple_graph
+from conftest import dense_positions, neighbor_sets, random_connected_graph, random_simple_graph
 from linkpred import datasets, rwr
 from linkpred.graph import Graph, split_edges
 from linkpred.pipelines import rwr_factory
@@ -19,15 +19,16 @@ class TestTransition:
     def test_path_middle_row(self):
         g = Graph([(0, 1), (1, 2)])
         P = build_transition(g)
-        i = g.dense_index[1]
+        i = dense_positions(g)[1]
         assert np.array_equal(P[i], [0.5, 0.0, 0.5])
 
     def test_g1_node3_row(self, g1):
         P = build_transition(g1)
-        row = P[g1.dense_index[3]]
+        index = dense_positions(g1)
+        row = P[index[3]]
         expected = np.zeros(5)
         for v in (1, 2, 4):
-            expected[g1.dense_index[v]] = 1 / 3
+            expected[index[v]] = 1 / 3
         assert np.allclose(row, expected, atol=1e-15)
 
     def test_rows_stochastic(self, g1):
@@ -46,11 +47,11 @@ class TestTransition:
 
 def _loop_transition(g):
     """Entry-by-entry oracle: P[i, j] = 1/k_i for each edge (i, j)."""
-    P = np.zeros((g.num_nodes, g.num_nodes))
+    P, index = np.zeros((g.num_nodes, g.num_nodes)), dense_positions(g)
     for u, nbrs in neighbor_sets(g).items():
         w = 1.0 / len(nbrs)
         for v in nbrs:
-            P[g.dense_index[u], g.dense_index[v]] = w
+            P[index[u], index[v]] = w
     return P
 
 
@@ -127,14 +128,13 @@ class TestScore:
 
     def test_symmetric_exactly(self, g1):
         score = _rwr_score(g1, 0.7)
-        ids = g1.nodes.tolist()
-        for u in ids:
-            for v in ids:
-                assert score(g1, u, v) == score(g1, v, u)
+        for i in range(g1.num_nodes):
+            for j in range(g1.num_nodes):
+                assert score(g1, i, j) == score(g1, j, i)
 
     def test_unknown_node(self, g1):
-        with pytest.raises(KeyError):
-            _rwr_score(g1, 0.5)(g1, 0, 99)
+        with pytest.raises(IndexError):
+            _rwr_score(g1, 0.5)(g1, 0, 99)  # dense index out of range
 
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import dense_positions
 from linkpred import skipgram
 from linkpred.graph import Graph
 from linkpred.skipgram import (
@@ -209,7 +210,8 @@ class TestTrain:
         g = Graph(pairs)
         corpus = _corpus(g, length=20, walks_per_node=5, seed=4)
         model = train(corpus, TrainConfig())
-        vectors = model.input_vectors[[g.dense_index[node] for node in range(30)]]
+        index = dense_positions(g)
+        vectors = model.input_vectors[[index[node] for node in range(30)]]
         unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
         cosine = unit @ unit.T
         block = np.array([0] * 15 + [1] * 15)
