@@ -7,17 +7,18 @@ permutes the edge list under the absolute partition seed, and
 ``draw_comparisons`` makes all n draws in batch, with the same sampling law
 as one draw at a time. Experiments use a paired design: every level (index
 kind, c value, dimension, ...) is evaluated on the same train/test
-partitions, trial by trial. Per trial, the training graph is built once,
-from the split's (k, 2) array of training node ids, and the n draws are
-made once, as an (n, 4) array of the training graph's dense node indices;
-every level scores that same graph and those same draws in one call, the
-withheld pairs followed by the non-edges; a scorer without a batch form
-(``Scorer.pairs``) is called once per pair, in that order, on the same dense
-indices. Scorers never see node ids. The graph caches
-the arrays that scorers read from it (its adjacency matrix and the packed
-adjacency rows that common-neighbor counts are taken from), and keeps the
-AND of the packed rows at the last pairs asked for, so the levels of a
-trial build each once and intersect the rows of its pairs once.
+partitions, trial by trial. A study has one node set: per trial, the
+training graph is built once, from the split's training rows of the full
+graph's ``edges`` over all of its nodes (one whose edges were all withheld
+has degree 0), and the n draws are made once, as an (n, 4) array of those
+dense indices; every level scores that same graph and those same draws in
+one call, the withheld pairs followed by the non-edges; a scorer without a
+batch form (``Scorer.pairs``) is called once per pair, in that order, on the
+same dense indices. Scorers never see node ids. The graph caches the arrays
+that scorers read from it (its adjacency matrix and the packed adjacency
+rows that common-neighbor counts are taken from), and keeps the AND of the
+packed rows at the last pairs asked for, so the levels of a trial build each
+once and intersect the rows of its pairs once.
 """
 
 from __future__ import annotations
@@ -121,13 +122,13 @@ def draw_comparisons(
 ) -> np.ndarray:
     """n (withheld edge, sampled non-edge) draws for :func:`estimate_auc`.
 
-    Returns an (n, 4) int array of the training graph's dense indices with
-    columns (withheld u, withheld v, non-edge a, non-edge b). The withheld
-    edge is a uniform test edge, found in the sorted node ids of the training
-    graph, or -1, -1 when an endpoint is absent from it (it then scores 0).
-    The nonexistent pair is a uniform training node that has a non-neighbor
-    plus a uniform non-neighbor of it (not uniform over all non-edges; it
-    leans toward pairs incident to sparse neighborhoods). All three columns
+    Returns an (n, 4) int array of dense indices with columns (withheld u,
+    withheld v, non-edge a, non-edge b). ``g_train`` holds every node of the
+    graph that ``partition`` split, as :func:`run_experiment` builds it, so
+    the withheld edge is a uniform test row as it stands. The nonexistent
+    pair is a uniform training node that has a non-neighbor plus a uniform
+    non-neighbor of it (not uniform over all non-edges; it leans toward pairs
+    incident to sparse neighborhoods). All three columns
     are drawn in batch from one ``np.random.Generator`` seeded with ``seed``
     (a non-negative int); the non-neighbors come from one
     :func:`~linkpred.graph.sample_non_neighbor` call. Raises
@@ -144,13 +145,9 @@ def draw_comparisons(
     starts = np.flatnonzero(g_train.degrees < g_train.num_nodes - 1)
     if not starts.size:
         raise SaturatedNodeError("every training node is adjacent to every other node")
-    by_id = np.argsort(g_train.nodes)
-    ids = g_train.nodes[by_id]
-    at = np.searchsorted(ids, partition.test).clip(max=len(ids) - 1)
-    withheld = np.where((ids[at] == partition.test).all(axis=1, keepdims=True), by_id[at], -1)
     rng = np.random.default_rng(seed)
     draws = np.empty((n, 4), dtype=np.intp)
-    draws[:, :2] = withheld[rng.integers(len(withheld), size=n)]
+    draws[:, :2] = partition.test[rng.integers(len(partition.test), size=n)]
     draws[:, 2] = starts[rng.integers(starts.size, size=n)]
     draws[:, 3] = sample_non_neighbor(g_train, draws[:, 2], rng)
     return draws
@@ -169,24 +166,12 @@ def _per_pair_batch(g_train: Graph, score: ScoreFn) -> PairsFn:
 def estimate_auc(g_train: Graph, draws: np.ndarray, scorer: Scorer) -> AucTally:
     """Score each drawn pair on ``g_train`` and tally the comparisons.
 
-    A withheld edge marked -1 scores 0. Any score that does not compare
-    (NaN) counts as a loss. The scorer is called once, on the withheld
-    pairs, in draw order, followed by the non-edges. When no row is marked
-    -1 (every withheld edge of a trial is in its training graph, as in
-    nearly all trials), the withheld columns are scored as they are;
-    otherwise only the present rows are scored, and their scores are
-    placed into zeros.
+    The scorer is called once, on the withheld pairs in draw order followed
+    by the non-edges. Any score that does not compare (NaN) counts as a loss.
     """
     pairs = scorer.pairs or _per_pair_batch(g_train, scorer.score)
-    # Kept fork: masking every call takes a usair_like level call from ~11 to ~42 us.
-    withheld = draws if draws[:, 0].min(initial=0) >= 0 else draws[draws[:, 0] >= 0]
-    k = len(withheld)
-    scores = pairs(np.concatenate((withheld[:, 0], draws[:, 2])),
-                   np.concatenate((withheld[:, 1], draws[:, 3])))
-    existing, nonexistent = scores[:k], scores[k:]
-    if k < len(draws):
-        existing = np.zeros(len(draws))
-        existing[draws[:, 0] >= 0] = scores[:k]
+    rows, cols = draws[:, [0, 2]].T.ravel(), draws[:, [1, 3]].T.ravel()
+    existing, nonexistent = np.split(pairs(rows, cols), 2)
     wins = int(np.count_nonzero(existing > nonexistent))
     ties = int(np.count_nonzero(existing == nonexistent))
     return AucTally(wins=wins, ties=ties, losses=len(draws) - wins - ties)
@@ -267,7 +252,7 @@ def run_experiment(
     for t in range(trials):
         part_seed = base_seed + t
         partition = split_edges(g_full, test_fraction, part_seed)
-        g_train = Graph(partition.train)
+        g_train = Graph(partition.train, nodes=g_full.nodes)
         draws = draw_comparisons(
             partition, g_train, comparisons, derive_seed(part_seed, "auc")
         )

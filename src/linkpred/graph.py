@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,7 +72,9 @@ class Graph:
     orientation; duplicate pairs (either orientation) collapse to the first.
     Each is grouped by :func:`_groups`, of the ids or the pair keys: by
     counting where the values are compact, as ids numbered from 0 are, else
-    by one sort. All else is derived on first read and cached; all is
+    by one sort. Given ``nodes``, ``pairs`` must be distinct rows of dense
+    indices into them, as :func:`split_edges` gives, and are kept as the
+    ``edges`` ungrouped. All else is derived on first read and cached; all is
     read-only, as every scorer reads it. Common neighbors are counted at the
     pairs asked for (:meth:`common_neighbors`), from the packed adjacency
     rows of ``neighbor_bits``; no n x n product is formed. The AND and the
@@ -81,18 +83,21 @@ class Graph:
     its levels.
     """
 
-    def __init__(self, pairs: Union[Sequence[Edge], np.ndarray]):
+    def __init__(self, pairs: Union[Sequence[Edge], np.ndarray],
+                 nodes: Optional[np.ndarray] = None):
         ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         loops = ends[ends[:, 0] == ends[:, 1]]
         if len(loops):
             raise ValueError(
                 f"self-loop ({loops[0, 0]}, {loops[0, 1]}) not allowed in a simple graph")
-        rank, first = _groups(ends.ravel())
-        order = np.argsort(first)  # ranks in first-seen order
-        dense = np.argsort(order)[rank].reshape(-1, 2)
-        _, keep = _groups(np.minimum(*dense.T) * len(first) + np.maximum(*dense.T))
-        self.nodes: np.ndarray = _read_only(ends.ravel()[first[order]])
-        self.edges: np.ndarray = _read_only(dense[np.sort(keep)])
+        if nodes is None:
+            rank, first = _groups(ends.ravel())
+            order = np.argsort(first)  # ranks in first-seen order
+            dense = np.argsort(order)[rank].reshape(-1, 2)
+            _, keep = _groups(np.minimum(*dense.T) * len(first) + np.maximum(*dense.T))
+            nodes, ends = ends.ravel()[first[order]], dense[np.sort(keep)]
+        self.nodes: np.ndarray = _read_only(np.asarray(nodes, dtype=np.int64).view())
+        self.edges: np.ndarray = _read_only(ends)
         # The last pairs asked of common_neighbor_bits: (key, AND, counts).
         self._last_pairs: tuple = (None, None, None)
 
@@ -228,8 +233,8 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
 
 @dataclass(frozen=True, eq=False)
 class EdgePartition:
-    """A seeded train/test split of a graph's edges: two (k, 2) int64 arrays
-    of node ids. Partitions with equal arrays are equal; none is hashable."""
+    """A seeded train/test split of a graph's edges: two read-only (k, 2) int64
+    arrays of its ``edges`` rows. Equal arrays make equal partitions; none is hashable."""
 
     train: np.ndarray
     test: np.ndarray
@@ -245,8 +250,9 @@ def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:
 
     The rows of ``g.edges`` are taken in the order of a uniform permutation
     from ``np.random.default_rng(abs(seed))``, so a seed and its negative
-    give the same partition, and mapped to node ids. The test set gets the
-    first ``ceil(test_fraction * num_edges)`` of them. Raises
+    give the same partition. The test set gets the first
+    ``ceil(test_fraction * num_edges)`` of them, and ``Graph(partition.train,
+    nodes=g.nodes)`` is the training graph over all of g's nodes. Raises
     :class:`TooFewEdgesError` for a graph with fewer than two edges.
     """
     if not 0.0 < test_fraction < 1.0:
@@ -254,9 +260,9 @@ def split_edges(g: Graph, test_fraction: float, seed: int) -> EdgePartition:
     if g.num_edges < 2:
         raise TooFewEdgesError("need at least two edges to split")
     order = np.random.default_rng(abs(seed)).permutation(g.num_edges)
-    edges = g.nodes[g.edges[order]]
+    edges = g.edges[order]
     n_test = math.ceil(test_fraction * g.num_edges)
-    return EdgePartition(train=edges[n_test:], test=edges[:n_test])
+    return EdgePartition(train=_read_only(edges[n_test:]), test=_read_only(edges[:n_test]))
 
 
 def sample_non_neighbor(g: Graph, starts: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -2,17 +2,17 @@
 
 All six scores share the signature ``(g, rows, cols) -> float array`` over
 arrays of dense node indices (positions in ``Graph.nodes``): pair i is
-``(rows[i], cols[i])``, with ``rows[i] != cols[i]`` and both degrees >= 1 in
-a simple undirected graph. Five are functions of the shared-neighbor count
-that ``Graph.common_neighbors`` takes at the asked pairs from the graph's
-packed adjacency rows, built once per graph. Adamic-Adar reads the same AND
-of packed rows (``Graph.common_neighbor_bits``) a byte at a time through a
-table of summed weights, with each weight 1/log10 k rounded to a fixed-point
-grid, so that every score is an exact float64 sum: it has the same bits in
-any summation order, and pairs whose shared neighbors have the same degrees
-tie exactly. The graph keeps the AND and the counts of the last pairs asked
-for, so the six levels of a trial, which score the same pairs, take them
-once.
+``(rows[i], cols[i])``, with ``rows[i] != cols[i]`` in a simple undirected
+graph; a pair at a node of degree 0 scores 0, with no warning. Five are
+functions of the shared-neighbor count that ``Graph.common_neighbors`` takes
+at the asked pairs from the graph's packed adjacency rows, built once per
+graph. Adamic-Adar reads the same AND of packed rows
+(``Graph.common_neighbor_bits``) a byte at a time through a table of summed
+weights, with each weight 1/log10 k rounded to a fixed-point grid, so that
+every score is an exact float64 sum: it has the same bits in any summation
+order, and pairs whose shared neighbors have the same degrees tie exactly.
+The graph keeps the AND and the counts of the last pairs asked for, so the
+six levels of a trial, which score the same pairs, take them once.
 Logarithms are base 10 throughout; AUC ranking is invariant to the base.
 """
 
@@ -41,7 +41,7 @@ def _adamic_adar(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # float64: neither the table nor the row sums round.
     k = g.degrees
     n = len(k)
-    weight = np.divide(1.0, np.log10(k), out=np.zeros(n), where=k > 1)
+    weight = np.divide(1.0, np.log10(np.maximum(k, 1)), out=np.zeros(n), where=k > 1)
     s = 51 - (n - 1).bit_length()
     width = -(-n // 8)  # bytes of a packed row that hold columns; the rest are padding
     grid = np.zeros(width * 8)
@@ -59,21 +59,22 @@ def _adamic_adar(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lhn1_variant(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    # Both endpoints of degree 1 make log10 of the product 0: the score is 0.
-    product = g.degrees[rows] * g.degrees[cols]
-    return np.divide(g.common_neighbors(rows, cols), np.log10(product),
-                     out=np.zeros(len(product)), where=product > 1)
+def _shared_over(denominator):
+    """Common neighbors over ``denominator(k_rows, k_cols)``, 0 where that is 0:
+    at an end of degree 0 (and at two ends of degree 1, for lhn1_var's log)."""
+
+    def index(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        d = denominator(g.degrees[rows], g.degrees[cols])
+        return np.divide(g.common_neighbors(rows, cols), d, out=np.zeros(len(d)), where=d > 0)
+
+    return index
 
 
 LOCAL_INDICES = {
     "cn": Graph.common_neighbors,
-    "hub_prom": lambda g, rows, cols: g.common_neighbors(rows, cols)
-    / np.minimum(g.degrees[rows], g.degrees[cols]),
-    "hub_depr": lambda g, rows, cols: g.common_neighbors(rows, cols)
-    / np.maximum(g.degrees[rows], g.degrees[cols]),
-    "lhn1": lambda g, rows, cols: g.common_neighbors(rows, cols)
-    / (g.degrees[rows] * g.degrees[cols]),
+    "hub_prom": _shared_over(np.minimum),
+    "hub_depr": _shared_over(np.maximum),
+    "lhn1": _shared_over(np.multiply),
     "aa": _adamic_adar,
-    "lhn1_var": _lhn1_variant,
+    "lhn1_var": _shared_over(lambda a, b: np.log10(np.maximum(a * b, 1))),
 }

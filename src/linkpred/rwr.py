@@ -43,9 +43,9 @@ _LEAF = 48  # blocks up to this order are inverted by LAPACK
 
 
 def build_transition(g: Graph) -> np.ndarray:
-    """Row-stochastic transition matrix P = D^-1 A, a new writable array on
-    every call: P[i, j] = 1/k_i for each edge (i, j), scattered from
-    ``Graph.edges`` into zeros (every node of a graph has k >= 1)."""
+    """Transition matrix P = D^-1 A, a new writable array on every call:
+    P[i, j] = 1/k_i for each edge (i, j), scattered from ``Graph.edges`` into
+    zeros, so a row sums to 1 at a node with a neighbor and is 0 at degree 0."""
     if g.num_nodes == 0:
         raise ValueError("cannot build a transition matrix for an empty graph")
     u, v = g.edges.T
@@ -103,7 +103,8 @@ def build_rwr(g: Graph, c: float) -> tuple[np.ndarray, np.ndarray]:
     """``(X, pos)``, X[pos[i], pos[j]] = (I - c N)^{-1}[i, j] for dense indices
     i, j and 0 <= c < 1, so M[i, j] = X[pos[i], pos[j]] (1 - c) sqrt(k_i) /
     sqrt(k_j); column x of M is the stationary distribution (sums to 1) for
-    start node ``g.nodes[x]``, and at c = 0 X is exactly the identity. ``pos``
+    start node ``g.nodes[x]`` when x has a neighbor, and at c = 0 X is exactly
+    the identity. ``pos``
     puts ``g.independent_set`` first when it has more than ``_LEAF`` nodes,
     and is the identity otherwise."""
     check_restart(c)
@@ -129,9 +130,10 @@ def build_rwr(g: Graph, c: float) -> tuple[np.ndarray, np.ndarray]:
 def pair_scores(g: Graph, c: float) -> PairsFn:
     """The RWR level's batch scorer on ``g``: M[i, j] + M[j, i] at each pair
     i, j = rows, cols of dense indices, read from one :func:`build_rwr` with
-    each entry scaled as a full scaling of X would scale it."""
+    each entry scaled as a full scaling of X would scale it. A node of degree
+    0 is scaled as one of degree 1, so each pair at it scores X's exact 0."""
     X, pos = build_rwr(g, c)
-    s = np.sqrt(g.degrees)
+    s = np.sqrt(np.maximum(g.degrees, 1))
     a = (1.0 - c) * s
 
     def pairs(rows, cols):

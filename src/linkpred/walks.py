@@ -8,8 +8,9 @@ a walk or a neighbor row is a dense index: a position in ``Graph.nodes``.
 
 Neighbor rows are CSR arrays ``(indptr, targets)``: the neighbors of x are
 ``targets[indptr[x]:indptr[x + 1]]``, ascending, and a position in
-``targets`` is one directed move. :func:`generate_corpus` moves every walker
-of the corpus one step per round, all drawn from one numpy Generator.
+``targets`` is one directed move. A node of degree 0 has itself as its one
+move, so a walker there stays home. :func:`generate_corpus` moves every
+walker of the corpus one step per round, all drawn from one numpy Generator.
 """
 
 from __future__ import annotations
@@ -59,9 +60,11 @@ def _check_p_q(p: float, q: float) -> None:
 
 
 def sorted_neighbors(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, targets)``: each dense index's neighbors, ascending, as CSR rows."""
-    indptr = np.concatenate(([0], np.cumsum(g.degrees)))
-    return indptr, np.flatnonzero(g.adjacency_matrix) % g.num_nodes
+    """``(indptr, targets)``: each dense index's neighbors, ascending, as CSR
+    rows; a node of degree 0 has itself as its one entry."""
+    indptr = np.concatenate(([0], np.cumsum(np.maximum(g.degrees, 1))))
+    moves = g.adjacency_matrix | np.diag(g.degrees == 0)
+    return indptr, np.flatnonzero(moves) % g.num_nodes
 
 
 def build_alias_table(g: Graph, p: float, q: float) -> np.ndarray:
@@ -71,13 +74,14 @@ def build_alias_table(g: Graph, p: float, q: float) -> np.ndarray:
     ``targets``: the largest weight among x's next moves, where a neighbor w
     of x weighs 1/p if it is t itself, 1 if it is also a neighbor of t, and
     1/q otherwise. Going back to t is always possible; the other two terms
-    count only when x has such a neighbor. The name dates from the alias
+    count only when x has such a neighbor; at a node of degree 0, whose one
+    move stays, that leaves 1/p. The name dates from the alias
     columns this array replaced, and stays because ``--mode alias`` is this
     walk and the benchmark's ``walks.alias_table`` span patches it here.
     """
     _check_p_q(p, q)
-    _, x = sorted_neighbors(g)
-    t = np.repeat(np.arange(g.num_nodes), g.degrees)
+    indptr, x = sorted_neighbors(g)
+    t = np.repeat(np.arange(g.num_nodes), np.diff(indptr))
     common = g.common_neighbors(t, x)
     return np.maximum(np.maximum(1.0 / p, (common > 0) * 1.0), (g.degrees[x] - 1 > common) / q)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from linkpred.graph import Graph
+from linkpred.graph import Graph, split_edges
 
 settings.register_profile(
     "suite",
@@ -53,6 +53,19 @@ def neighbor_sets(g: Graph) -> dict[int, set[int]]:
         nbrs[u].add(v)
         nbrs[v].add(u)
     return nbrs
+
+
+def train_graph(g: Graph, fraction: float, seed: int) -> Graph:
+    """The training graph of ``split_edges(g, fraction, seed)`` as
+    ``run_experiment`` builds it: the kept rows over all of g's nodes."""
+    return Graph(split_edges(g, fraction, seed).train, nodes=g.nodes)
+
+
+def with_a_degree_zero_node() -> Graph:
+    """A triangle with a path 2-3-4-5, trained without (4, 5): node 5, the
+    highest dense index, keeps its place with degree 0."""
+    full = Graph([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5)])
+    return Graph(full.edges[:5], nodes=full.nodes)
 
 
 def dense_positions(g: Graph) -> dict[int, int]:

@@ -31,13 +31,17 @@ def test_wheel_graph_runs(tmp_path):
     assert (tmp_path / "wheel_trials.csv").read_text().count("\n") == 4
 
 
-def test_complete_training_graph_is_a_data_error(tmp_path, capsys):
-    # With --seed 2 the one test edge is (3, 4), leaving a triangle to train on.
-    pairs = [(0, 1), (0, 2), (1, 2), (3, 4)]
-    assert np.array_equal(split_edges(Graph(pairs), 0.1, 2).test, [(3, 4)])
-    edges = _write(tmp_path / "tri.txt", pairs)
-    code = main(["auc", edges, "--method", "cn", "--trials", "1", "--seed", "2",
-                 "--out", str(tmp_path / "tri")])
+def test_edgeless_training_graph_is_a_data_error(tmp_path, capsys):
+    # ceil(0.9 * 2) = 2: both edges are withheld, and the training graph keeps
+    # all four nodes with no edge between them.
+    pairs = [(0, 1), (2, 3)]
+    g = Graph(pairs)
+    partition = split_edges(g, 0.9, 0)
+    g_train = Graph(partition.train, nodes=g.nodes)
+    assert (g_train.num_nodes, g_train.num_edges, len(partition.test)) == (4, 0, 2)
+    edges = _write(tmp_path / "two.txt", pairs)
+    code = main(["auc", edges, "--method", "cn", "--trials", "1",
+                 "--test-fraction", "0.9", "--out", str(tmp_path / "two")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: ")
 

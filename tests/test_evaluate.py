@@ -1,10 +1,11 @@
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import dense_positions, neighbor_sets
+from conftest import neighbor_sets, train_graph, with_a_degree_zero_node
 from linkpred import datasets, evaluate
 from linkpred.evaluate import (
     AucTally,
@@ -31,26 +32,26 @@ from linkpred.walks import WalkParams
 # partition, the draws or a scorer's arithmetic moves these values.
 GOLDEN = {
     "usair_like": {
-        "cn": (0.8065, 0.8345, 0.837),
-        "hub_prom": (0.8355, 0.855, 0.862),
-        "hub_depr": (0.815, 0.8305, 0.831),
-        "lhn1": (0.812, 0.818, 0.8255),
-        "aa": (0.8395, 0.8635, 0.8795),
-        "lhn1_var": (0.8345, 0.86, 0.864),
-        "rwr_c=0.1": (0.885, 0.8995, 0.909),
-        "rwr_c=0.5": (0.885, 0.9, 0.9165),
-        "rwr_c=0.9": (0.8675, 0.891, 0.911),
+        "cn": (0.8155, 0.839, 0.833),
+        "hub_prom": (0.839, 0.862, 0.8515),
+        "hub_depr": (0.818, 0.8255, 0.83),
+        "lhn1": (0.8165, 0.817, 0.823),
+        "aa": (0.849, 0.8695, 0.867),
+        "lhn1_var": (0.84, 0.8655, 0.853),
+        "rwr_c=0.1": (0.895, 0.9, 0.8905),
+        "rwr_c=0.5": (0.8965, 0.901, 0.9025),
+        "rwr_c=0.9": (0.881, 0.9045, 0.912),
     },
     "florida_like": {
-        "cn": (0.807, 0.8065, 0.809),
-        "hub_prom": (0.8085, 0.81, 0.8245),
-        "hub_depr": (0.8025, 0.794, 0.7915),
-        "lhn1": (0.7615, 0.748, 0.77),
-        "aa": (0.8205, 0.8245, 0.822),
-        "lhn1_var": (0.821, 0.823, 0.8265),
-        "rwr_c=0.1": (0.818, 0.81, 0.819),
-        "rwr_c=0.5": (0.8255, 0.8225, 0.8265),
-        "rwr_c=0.9": (0.823, 0.826, 0.8245),
+        "cn": (0.8155, 0.8175, 0.8135),
+        "hub_prom": (0.8135, 0.822, 0.82),
+        "hub_depr": (0.802, 0.799, 0.7945),
+        "lhn1": (0.7505, 0.7495, 0.776),
+        "aa": (0.832, 0.8355, 0.826),
+        "lhn1_var": (0.828, 0.8315, 0.826),
+        "rwr_c=0.1": (0.815, 0.8245, 0.818),
+        "rwr_c=0.5": (0.8225, 0.834, 0.831),
+        "rwr_c=0.9": (0.825, 0.836, 0.8335),
     },
 }
 GOLDEN_LEVELS = [local_index_factory(k) for k in LOCAL_INDICES] + [
@@ -59,9 +60,9 @@ GOLDEN_LEVELS = [local_index_factory(k) for k in LOCAL_INDICES] + [
 # Per-trial (wins, ties, losses) of run_experiment(chesapeake_like(),
 # EMBED_LEVELS, trials=3), recorded the same way as GOLDEN.
 GOLDEN_EMBED = {
-    "hadamard": ((718, 5, 277), (576, 6, 418), (657, 6, 337)),
-    "average": ((665, 5, 330), (611, 6, 383), (716, 6, 278)),
-    "abs_diff": ((642, 5, 353), (626, 6, 368), (498, 6, 496)),
+    "hadamard": ((698, 3, 299), (672, 10, 318), (605, 2, 393)),
+    "average": ((672, 3, 325), (597, 10, 393), (604, 2, 394)),
+    "abs_diff": ((644, 3, 353), (679, 10, 311), (672, 2, 326)),
 }
 EMBED_LEVELS = [
     embedding_factory(WalkParams(10, 2), TrainConfig(dim=16, window=3, epochs=2), op, tag=op)
@@ -100,7 +101,7 @@ def test_rwr_sweep_frees_each_level_before_the_next():
     # One level's resolvent and its build buffer are two n x n float64
     # matrices; holding the previous level's resolvent as well makes three.
     g = datasets.usair_like(1)
-    n = Graph(split_edges(g, 0.1, 0).train).num_nodes
+    n = train_graph(g, 0.1, 0).num_nodes
     levels = [rwr_factory(c) for c in (0.1, 0.5, 0.9)]
     tracemalloc.start()
     try:
@@ -134,15 +135,18 @@ def test_levels_see_identical_pairs():
 
 
 def test_training_graph_built_once_per_trial(monkeypatch):
+    # Each trial's training graph takes the full graph's node array as it is.
+    g = datasets.florida_like(2)
     calls = []
 
-    def counting_graph(pairs):
-        calls.append(1)
-        return Graph(pairs)
+    def counting_graph(pairs, nodes):
+        calls.append(nodes)
+        return Graph(pairs, nodes=nodes)
 
     monkeypatch.setattr(evaluate, "Graph", counting_graph)
-    run_experiment(datasets.florida_like(2), GOLDEN_LEVELS[:3], trials=4, comparisons=20)
+    run_experiment(g, GOLDEN_LEVELS[:3], trials=4, comparisons=20)
     assert len(calls) == 4
+    assert all(nodes is g.nodes for nodes in calls)
 
 
 TALLY_SCORES = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 0.5,
@@ -162,8 +166,8 @@ def _table_batch(rows, cols):
                          ids=lambda scorer: scorer.tag)
 def test_tally_counts_wins_ties_losses(scorer):
     g = Graph([(0, 1), (1, 2), (2, 3)])  # dense index i is node i
-    # win, tie, 0 vs 0.5, and 2 vs NaN: a NaN score never wins or ties
-    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [-1, -1, 1, 3], [0, 1, 2, 3]])
+    # win, tie, 0.5 vs 1, and 2 vs NaN: a NaN score never wins or ties
+    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [1, 3, 0, 3], [0, 1, 2, 3]])
     tally = estimate_auc(g, draws, scorer)
     assert tally == AucTally(wins=1, ties=1, losses=2)
     assert tally.n == 4
@@ -173,7 +177,7 @@ def test_tally_counts_wins_ties_losses(scorer):
 
 def test_batch_form_replaces_per_pair_calls():
     g = Graph([(0, 1), (1, 2), (2, 3)])  # dense index i is node i
-    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [-1, -1, 1, 3], [0, 1, 1, 3]])
+    draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [0, 2, 1, 3], [0, 1, 1, 3]])
     scores = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): float("nan")}
 
     def pairs(rows, cols):
@@ -182,19 +186,16 @@ def test_batch_form_replaces_per_pair_calls():
     def per_pair(g, u, v):
         raise AssertionError("per-pair score called although a batch form is set")
 
-    # win, tie, 0 vs NaN and 2 vs NaN: a NaN score never wins or ties
+    # win, tie, 1 vs NaN and 2 vs NaN: a NaN score never wins or ties
     tally = estimate_auc(g, draws, Scorer("t", per_pair, pairs))
     assert tally == AucTally(wins=1, ties=1, losses=2)
 
 
 def test_one_scoring_call_per_level_withheld_pairs_first():
-    partition = split_edges(datasets.usair_like(1), 0.1, 0)
-    g_train = Graph(partition.train)
+    g = datasets.usair_like(1)
+    partition = split_edges(g, 0.1, 0)
+    g_train = Graph(partition.train, nodes=g.nodes)
     draws = draw_comparisons(partition, g_train, 300, seed=3)
-    assert draws.min() >= 0
-    absent = draws.copy()
-    absent[::7, :2] = -1
-    present = absent[:, 0] >= 0
     calls, scored = [], []
 
     def pairs(rows, cols):
@@ -205,21 +206,16 @@ def test_one_scoring_call_per_level_withheld_pairs_first():
         scored.append((i, j))
         return 1.0
 
-    for d in (draws, absent):
-        calls.clear()
-        scored.clear()
-        batch = estimate_auc(g_train, d, Scorer("batch", per_pair, pairs))
-        # the withheld pairs in draw order (present ones only), then the non-edges
-        withheld = d[d[:, 0] >= 0]
-        assert calls == [(withheld[:, 0].tolist() + d[:, 2].tolist(),
-                          withheld[:, 1].tolist() + d[:, 3].tolist())]
-        assert scored == []
-        # a per-pair scorer is called on the same dense pairs, in the same order
-        single = estimate_auc(g_train, d, Scorer("per_pair", per_pair))
-        assert scored == list(map(tuple, withheld[:, :2].tolist() + d[:, 2:].tolist()))
-        assert batch == single
-    # every score is 1: present rows tie, and a row marked -1 scores 0 and loses
-    assert batch == AucTally(wins=0, ties=int(present.sum()), losses=int((~present).sum()))
+    batch = estimate_auc(g_train, draws, Scorer("batch", per_pair, pairs))
+    # the withheld pairs in draw order, then the non-edges
+    assert calls == [(draws[:, 0].tolist() + draws[:, 2].tolist(),
+                      draws[:, 1].tolist() + draws[:, 3].tolist())]
+    assert scored == []
+    # a per-pair scorer is called on the same dense pairs, in the same order
+    single = estimate_auc(g_train, draws, Scorer("per_pair", per_pair))
+    assert scored == list(map(tuple, draws[:, :2].tolist() + draws[:, 2:].tolist()))
+    # every score is 1: every row ties
+    assert batch == single == AucTally(wins=0, ties=300, losses=0)
 
 
 def test_builtin_scorers_have_a_batch_form():
@@ -243,12 +239,41 @@ def test_score_is_the_batch_form_on_one_pair():
         assert scorer.pairs(rows, cols).tolist() == expected
 
 
-def _masked_tally(draws, scorer):
-    """The tally of every row through the mask: a withheld pair marked -1
-    scores 0, and the present ones are scored into zeros."""
-    present = draws[:, 0] >= 0
-    existing = np.zeros(len(draws))
-    existing[present] = scorer.pairs(draws[present, 0], draws[present, 1])
+def test_degree_zero_node_scores_zero_at_every_local_and_rwr_level():
+    g = with_a_degree_zero_node()
+    assert g.degrees.tolist() == [2, 2, 3, 2, 1, 0]
+    without = Graph(g.edges)  # the same graph without node 5
+    rows, cols = np.nonzero(~np.eye(g.num_nodes, dtype=bool))  # every ordered dense pair
+    at_5 = (rows == 5) | (cols == 5)
+    local = [local_index_factory(k) for k in LOCAL_INDICES]
+    for factory in local + [rwr_factory(0.1), rwr_factory(0.9)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = factory.build(g, 0).pairs(rows, cols)
+            rest = factory.build(without, 0).pairs(rows[~at_5], cols[~at_5])
+        assert scores[at_5].tolist() == [0.0] * at_5.sum(), factory.tag
+        if factory in local:
+            assert scores[~at_5].tolist() == rest.tolist(), factory.tag
+        else:
+            assert scores[~at_5] == pytest.approx(rest, rel=1e-12), factory.tag
+
+
+def test_embedding_level_builds_with_a_degree_zero_node():
+    g = with_a_degree_zero_node()
+    rows, cols = np.nonzero(~np.eye(g.num_nodes, dtype=bool))
+    restart = embedding_factory(WalkParams(10, 2, mode="restart"),
+                                TrainConfig(dim=16, window=3, epochs=2), tag="restart")
+    for factory in EMBED_LEVELS + [restart]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = factory.build(g, 0).pairs(rows, cols)
+        assert np.isfinite(scores).all(), factory.tag
+
+
+def _reference_tally(draws, scorer):
+    """The tally of every row, with the withheld pairs and the non-edges
+    scored in two separate calls."""
+    existing = scorer.pairs(draws[:, 0], draws[:, 1])
     nonexistent = scorer.pairs(draws[:, 2], draws[:, 3])
     wins = int(np.count_nonzero(existing > nonexistent))
     ties = int(np.count_nonzero(existing == nonexistent))
@@ -258,23 +283,19 @@ def _masked_tally(draws, scorer):
 @pytest.mark.parametrize("name, levels", [("usair_like", GOLDEN_LEVELS),
                                           ("chesapeake_like", GOLDEN_LEVELS + EMBED_LEVELS)])
 def test_tally_matches_the_masked_reference(name, levels):
-    # Draws with every withheld edge present take the unmasked path; the same
-    # draws with every seventh row marked -1 take the masked one. Each level
-    # is also scored pair by pair through its derived ``score`` alone, as a
+    # The one call per level gives the tally of separate calls. Each level is
+    # also scored pair by pair through its derived ``score`` alone, as a
     # scorer that wraps it (the bench's traced run) does.
-    partition = split_edges(getattr(datasets, name)(1), 0.1, 0)
-    g_train = Graph(partition.train)
-    present = draw_comparisons(partition, g_train, 1000, seed=3)
-    assert present.min() >= 0
-    absent = present.copy()
-    absent[::7, :2] = -1
+    g = getattr(datasets, name)(1)
+    partition = split_edges(g, 0.1, 0)
+    g_train = Graph(partition.train, nodes=g.nodes)
+    draws = draw_comparisons(partition, g_train, 1000, seed=3)
     for factory in levels:
         scorer = factory.build(g_train, 0)
         per_pair = Scorer(factory.tag, scorer.score)
-        for draws in (present, absent):
-            expected = _masked_tally(draws, scorer)
-            assert estimate_auc(g_train, draws, scorer) == expected, factory.tag
-            assert estimate_auc(g_train, draws, per_pair) == expected, factory.tag
+        expected = _reference_tally(draws, scorer)
+        assert estimate_auc(g_train, draws, scorer) == expected, factory.tag
+        assert estimate_auc(g_train, draws, per_pair) == expected, factory.tag
 
 
 @pytest.mark.parametrize("base_seed, trials", [(-1, 3), (-2, 5), (-9, 11)])
@@ -376,67 +397,44 @@ def _reference_draws(partition, g_train, n, seed):
     adjacency = neighbor_sets(g_train)
     ids = g_train.nodes.tolist()
     starts = [u for u in ids if len(adjacency[u]) < full_degree]
-    index = dense_positions(g_train)
+    index = {u: i for i, u in enumerate(ids)}
     test = partition.test.tolist()
     rng = random.Random(seed)
     draws = []
     for _ in range(n):
         u, v = rng.choice(test)
-        withheld = (index[u], index[v]) if u in index and v in index else (-1, -1)
         a = rng.choice(starts)
         while True:
             b = rng.choice(ids)
             if b != a and b not in adjacency[a]:
                 break
-        draws.append((*withheld, index[a], index[b]))
+        draws.append((u, v, index[a], index[b]))
     return np.array(draws, dtype=np.intp)
 
 
 def _partition(train, test):
-    """An EdgePartition of two (k, 2) node-id arrays from pair sequences."""
+    """An EdgePartition of two (k, 2) dense-index arrays from pair sequences."""
     return EdgePartition(train=np.array(train, dtype=np.int64).reshape(-1, 2),
                          test=np.array(test, dtype=np.int64).reshape(-1, 2))
 
 
-def _check_withheld_lookup(partition, g_train, n, seed):
-    """The withheld columns of the draws are the test edges mapped through
-    ``dense_index``, -1, -1 when an endpoint is absent, picked by the
-    Generator's first call."""
-    index = dense_positions(g_train)
-    expected = np.array([(index[u], index[v]) if u in index and v in index else (-1, -1)
-                         for u, v in partition.test.tolist()], dtype=np.intp)
-    picks = np.random.default_rng(seed).integers(len(expected), size=n)
-    draws = draw_comparisons(partition, g_train, n, seed)
-    assert np.array_equal(draws[:, :2], expected[picks])
-    return draws
-
-
-@pytest.mark.parametrize("name", ["usair_like", "florida_like"])
-def test_withheld_lookup_matches_the_id_dict(name):
-    g = getattr(datasets, name)(1)
-    for p in range(20):
-        partition = split_edges(g, 0.1, p)
-        _check_withheld_lookup(partition, Graph(partition.train), 1000,
-                               evaluate.derive_seed(p, "auc"))
-
-
-def test_absent_endpoints_anywhere_in_the_id_order_map_to_minus_one():
-    partition = _partition(((10, 20), (20, 30), (30, 40), (-5, 10)),
-                           ((-6, 10), (20, 25), (40, 41), (-2**63, 2**63 - 1), (10, 30), (40, -5)))
-    g_train = Graph(partition.train)
-    draws = _check_withheld_lookup(partition, g_train, 500, seed=4)
-    index = dense_positions(g_train)
-    rows = set(map(tuple, draws[:, :2].tolist()))
-    assert rows == {(-1, -1), (index[10], index[30]), (index[40], index[-5])}
+def _split_rows(g, test_rows):
+    """The partition of ``g`` that withholds the rows ``test_rows`` of its
+    edges, and its training graph over all of g's nodes."""
+    test = np.isin(np.arange(g.num_edges), test_rows)
+    partition = EdgePartition(train=g.edges[~test], test=g.edges[test])
+    return partition, Graph(partition.train, nodes=g.nodes)
 
 
 def test_draw_law():
-    # Hub 0 is saturated and never starts a pair; 1..6 have degrees 2, 3, 2, 2, 2, 1
-    # in a 7-node graph, and test edge (2, 9) has an endpoint outside it.
-    train = tuple((0, i) for i in range(1, 7)) + ((1, 2), (2, 3), (4, 5))
-    partition = _partition(train, ((1, 3), (3, 4), (2, 9)))
-    g_train = Graph(partition.train)
-    index, nodes = dense_positions(g_train), g_train.nodes.tolist()
+    # 0..6 and 9 have training degrees 6, 2, 3, 2, 2, 2, 1, 0 in an 8-node
+    # graph: hub 0 lacks only 9, and 9 lost its one edge (2, 9) to the test set.
+    g = Graph(tuple((0, i) for i in range(1, 7)) + ((1, 2), (2, 3), (4, 5))
+              + ((1, 3), (3, 4), (2, 9)))
+    partition, g_train = _split_rows(g, [9, 10, 11])
+    assert g_train.degrees.tolist() == [6, 2, 3, 2, 2, 2, 1, 0]
+    nodes = g_train.nodes.tolist()
+    index = {u: i for i, u in enumerate(nodes)}
     adjacency = neighbor_sets(g_train)
     draws = draw_comparisons(partition, g_train, 200_000, seed=11)
     assert draws.shape == (200_000, 4) and draws.dtype == np.intp
@@ -445,14 +443,14 @@ def test_draw_law():
     def within_4_sigma(count, p):
         return abs(count / total - p) <= 4 * (p * (1 - p) / total) ** 0.5
 
-    withheld = {(index[1], index[3]): 0, (index[3], index[4]): 0, (-1, -1): 0}
+    withheld = {(index[1], index[3]): 0, (index[3], index[4]): 0, (index[2], index[9]): 0}
     for row, count in zip(*np.unique(draws[:, :2], axis=0, return_counts=True)):
         assert tuple(row.tolist()) in withheld
         withheld[tuple(row.tolist())] = count
     assert all(within_4_sigma(count, 1 / 3) for count in withheld.values())
 
     starts = [a for a in nodes if len(adjacency[a]) < len(nodes) - 1]
-    assert len(starts) == 6
+    assert len(starts) == 8
     expected = {(index[a], index[b]): 1 / len(starts) / (len(nodes) - 1 - len(adjacency[a]))
                 for a in starts for b in nodes if b != a and b not in adjacency[a]}
     pairs, counts = np.unique(draws[:, 2:], axis=0, return_counts=True)
@@ -461,33 +459,50 @@ def test_draw_law():
         assert within_4_sigma(count, expected[tuple(pair)]), (pair, count)
 
 
+def _law_auc(partition, g_train, scorer):
+    """The expected ``auc`` of one draw of draw_comparisons' law, summed
+    exactly: a uniform test row against every non-edge (a, b), weighted by
+    the chance that a is the uniform start and b its uniform non-neighbor."""
+    n, k = g_train.num_nodes, g_train.degrees
+    starts = k < n - 1
+    rows, cols = np.nonzero(~g_train.adjacency_matrix & ~np.eye(n, dtype=bool)
+                            & starts[:, None])
+    chance = 1 / starts.sum() / (n - 1 - k[rows])
+    non_edge = scorer.pairs(rows, cols)
+    wins = np.mean([chance @ (w > non_edge) for w in scorer.pairs(*partition.test.T)])
+    return 0.5 + 0.5 * wins
+
+
 @pytest.mark.parametrize("name", ["usair_like", "florida_like"])
 def test_batch_draws_agree_with_the_reference_loop(name):
-    # Over 20 partitions, the paired mean AUC difference (batch - loop) of each
-    # index lies within 3 standard errors of 0.
+    # Over 20 partitions, the mean AUC difference of the batch draws from the
+    # exact expectation of the law, and that of the reference loop, each lies
+    # within 3 standard errors of 0 for each index.
     g = getattr(datasets, name)(1)
-    kinds = ("cn", "aa", "lhn1")
-    diffs = {kind: [] for kind in kinds}
+    diffs = {}
     for p in range(20):
         partition = split_edges(g, 0.1, p)
-        g_train = Graph(partition.train)
+        g_train = Graph(partition.train, nodes=g.nodes)
         seed = evaluate.derive_seed(p, "auc")
         batch = draw_comparisons(partition, g_train, 1000, seed)
         loop = _reference_draws(partition, g_train, 1000, seed)
-        for kind in kinds:
+        for kind in ("cn", "aa", "lhn1"):
             scorer = local_index_factory(kind).build(g_train, 0)
-            diffs[kind].append(estimate_auc(g_train, batch, scorer).auc
-                               - estimate_auc(g_train, loop, scorer).auc)
-    for kind, d in diffs.items():
+            law = _law_auc(partition, g_train, scorer)
+            for form, draws in (("batch", batch), ("loop", loop)):
+                diffs.setdefault((kind, form), []).append(
+                    estimate_auc(g_train, draws, scorer).auc - law)
+    for key, d in diffs.items():
         stderr = np.std(d, ddof=1) / len(d) ** 0.5
-        assert abs(np.mean(d)) <= 3 * stderr, (kind, np.mean(d), stderr)
+        assert abs(np.mean(d)) <= 3 * stderr, (key, np.mean(d), stderr)
 
 
 def test_random_scorer_pins_both_estimators():
     # auc credits losses 0.5 like ties, so a random scorer gets about 0.75;
     # auc_ties_only (Lü–Zhou) gets about 0.5.
-    partition = split_edges(datasets.usair_like(3), 0.1, 0)
-    g_train = Graph(partition.train)
+    g = datasets.usair_like(3)
+    partition = split_edges(g, 0.1, 0)
+    g_train = Graph(partition.train, nodes=g.nodes)
     draws = draw_comparisons(partition, g_train, 20000, seed=0)
     tally = estimate_auc(g_train, draws, _random_factory("r").build(g_train, 7))
     assert tally.auc == pytest.approx(0.75, abs=0.01)
@@ -498,12 +513,12 @@ class TestDrawComparisons:
     def test_deterministic_and_valid(self):
         g = datasets.florida_like(2)
         partition = split_edges(g, 0.1, 5)
-        g_train = Graph(partition.train)
+        g_train = Graph(partition.train, nodes=g.nodes)
         draws = draw_comparisons(partition, g_train, 300, seed=9)
         assert np.array_equal(draws, draw_comparisons(partition, g_train, 300, seed=9))
         assert len(draws) == 300
         nodes, adjacency = g_train.nodes.tolist(), neighbor_sets(g_train)
-        test = set(map(tuple, partition.test.tolist()))
+        test = set(map(tuple, g.nodes[partition.test].tolist()))
         for u, v, a, b in draws.tolist():
             assert (nodes[u], nodes[v]) in test
             assert a != b and nodes[b] not in adjacency[nodes[a]]
@@ -511,12 +526,10 @@ class TestDrawComparisons:
     def test_saturated_hub_is_skipped(self):
         # Withholding a rim edge leaves hub 0 adjacent to every other node.
         g = _wheel(12)
-        rim = g.edge_list.index((1, 2))
-        partition = _partition(g.edge_list[:rim] + g.edge_list[rim + 1:], ((1, 2),))
-        g_train = Graph(partition.train)
+        partition, g_train = _split_rows(g, [g.edge_list.index((1, 2))])
         assert len(neighbor_sets(g_train)[0]) == g_train.num_nodes - 1
         draws = draw_comparisons(partition, g_train, 500, seed=3)
-        assert dense_positions(g_train)[0] not in draws[:, 2:]
+        assert g.nodes.tolist().index(0) not in draws[:, 2:]
 
     def test_complete_training_graph_raises(self):
         partition = _partition(((0, 1), (0, 2), (1, 2)), ((2, 3),))

@@ -2,10 +2,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import G1_EDGES, dense_positions, edge_lists, grid_adamic_adar, neighbor_sets
+from conftest import (G1_EDGES, dense_positions, edge_lists, grid_adamic_adar,
+                      neighbor_sets, train_graph)
 from linkpred import datasets
 from linkpred.graph import (
     EdgeListParseError,
@@ -172,7 +173,7 @@ class TestGraphQueries:
     def test_pair_work_is_kept_by_value(self):
         # A graph keeps the work of its last pairs. Mutating the asked arrays in
         # place, or asking other pairs of the same length, must not return it.
-        g = Graph(split_edges(datasets.florida_like(1), 0.1, 0).train)
+        g = train_graph(datasets.florida_like(1), 0.1, 0)
         adjacency, ids = neighbor_sets(g), g.nodes.tolist()
         rng = np.random.default_rng(5)
         rows, cols = rng.integers(g.num_nodes, size=(2, 200))
@@ -239,6 +240,25 @@ class TestSplitEdges:
             test = set(map(tuple, part.test.tolist()))
             assert train | test == original
             assert train & test == set()
+
+    @given(edge_lists(), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    @example([(0, 1), (1, 2)], 0.5, 0)  # node 0 or node 2 loses its one edge
+    def test_training_graph_keeps_every_node(self, pairs, fraction, seed):
+        # The training graph holds g's nodes as they are, a node of degree 0
+        # included, and its edges and the test rows split g's edges exactly.
+        g = Graph(pairs)
+        assume(g.num_edges >= 2)
+        partition = split_edges(g, fraction, seed)
+        g_train = Graph(partition.train, nodes=g.nodes)  # shares the rows, read-only
+        assert not (partition.train.flags.writeable or partition.test.flags.writeable)
+        assert np.array_equal(g_train.nodes, g.nodes)
+        train = set(map(tuple, g_train.edges.tolist()))
+        test = set(map(tuple, partition.test.tolist()))
+        assert not train & test
+        assert len(train) + len(test) == g.num_edges
+        assert train | test == set(map(tuple, g.edges.tolist()))
+        assert g_train.degrees.tolist() == [
+            sum(i in edge for edge in train) for i in range(g.num_nodes)]
 
     def test_does_not_mutate_graph(self, g1):
         before = g1.edge_list
@@ -512,7 +532,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("name", ["usair_like", "florida_like", "chesapeake_like"])
     def test_common_neighbor_counts_equal_the_full_product(self, name):
-        g = Graph(split_edges(getattr(datasets, name)(1), 0.1, 0).train)
+        g = train_graph(getattr(datasets, name)(1), 0.1, 0)
         A = g.adjacency_matrix.astype(int)
         assert np.array_equal(_every_pair_counts(g), A @ A)
 

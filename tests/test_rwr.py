@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_positions, neighbor_sets, random_connected_graph, random_simple_graph
+from conftest import (dense_positions, neighbor_sets, random_connected_graph, random_simple_graph,
+                      train_graph)
 from linkpred import datasets, rwr
-from linkpred.graph import Graph, split_edges
+from linkpred.graph import Graph
 from linkpred.pipelines import rwr_factory
 from linkpred.rwr import build_rwr, build_transition
 
@@ -193,7 +194,7 @@ def _oracle_graphs():
     yield Graph([(0, 1), (2, 3), (3, 4), (4, 5), (5, 2)])  # an edge and an even cycle
     yield random_simple_graph(150, 120, 3)  # disconnected
     yield _random_bipartite_graph(60, 70, 260, 4)
-    yield Graph(split_edges(datasets.usair_like(), 0.1, 1).train)
+    yield train_graph(datasets.usair_like(), 0.1, 1)
 
 
 def test_oracle_graphs_take_both_paths(monkeypatch):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import SHUFFLED_RING_EDGES, edge_lists, neighbor_sets, random_connected_graph
+from conftest import (SHUFFLED_RING_EDGES, edge_lists, neighbor_sets, random_connected_graph,
+                      with_a_degree_zero_node)
 from linkpred import datasets, walks
 from linkpred.graph import Graph
 from linkpred.rwr import build_transition
@@ -362,6 +363,21 @@ def test_corpus_walks_dense_indices(params_name):
         assert set(walk) <= set(range(g.num_nodes))
         for a, b in zip(walk, walk[1:]):
             assert g.adjacency_matrix[a, b] or (params.mode == "restart" and b == walk[0])
+
+
+@pytest.mark.parametrize("params_name", sorted(CORPUS_PARAMS))
+def test_degree_zero_walkers_stay_home(params_name):
+    # Node 5 lost its one edge: its walkers stay home, and no other walker
+    # reaches it.
+    g = with_a_degree_zero_node()
+    params = CORPUS_PARAMS[params_name]
+    for seed in range(20):
+        corpus = generate_corpus(g, params, seed)
+        home = corpus[:, 0] == 5
+        assert home.sum() == params.walks_per_node and (corpus[home] == 5).all()
+        for walk in corpus[~home].tolist():
+            for a, b in zip(walk, walk[1:]):
+                assert g.adjacency_matrix[a, b] or (params.mode == "restart" and b == walk[0])
 
 
 class TestWalkParams:
