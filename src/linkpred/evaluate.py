@@ -11,14 +11,15 @@ partitions, trial by trial. A study has one node set: per trial, the
 training graph is built once, from the split's training rows of the full
 graph's ``edges`` over all of its nodes (one whose edges were all withheld
 has degree 0), and the n draws are made once, as an (n, 4) array of those
-dense indices; every level scores that same graph and those same draws in
-one call, the withheld pairs followed by the non-edges; a scorer without a
-batch form (``Scorer.pairs``) is called once per pair, in that order, on the
-same dense indices. Scorers never see node ids. The graph caches the arrays
-that scorers read from it (its adjacency matrix and the packed adjacency
-rows that common-neighbor counts are taken from), and keeps the AND of the
-packed rows at the last pairs asked for, so the levels of a trial build each
-once and intersect the rows of its pairs once.
+dense indices, and laid out once as 2n pairs (:func:`comparison_pairs`),
+the withheld pairs in draw order, then the non-edges. Every level scores
+that same graph and those same pairs in one call; a scorer without a batch
+form (``Scorer.pairs``) is called once per pair, in that order. Scorers
+never see node ids. The graph caches what scorers read from it (its
+adjacency matrix, packed adjacency rows and Adamic-Adar weight table) and
+keeps the features of the last pairs asked for (the AND of the packed
+rows, its counts and both endpoint degrees), so the levels of a trial build
+each once and intersect the rows and gather the degrees of its pairs once.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class Scorer:
     scores pairs ``(rows[i], cols[i])`` and returns a float array. They must
     agree pair by pair; an omitted ``score`` is ``pairs`` on one pair, as
     every built-in factory leaves it. :func:`estimate_auc` calls ``pairs``
-    when set, else ``score`` on each withheld pair, then on each non-edge.
+    when set, else ``score`` on each pair in turn, withheld pairs first.
     """
 
     tag: str
@@ -120,7 +121,8 @@ def draw_comparisons(
     n: int = 1000,
     seed: int = 0,
 ) -> np.ndarray:
-    """n (withheld edge, sampled non-edge) draws for :func:`estimate_auc`.
+    """n (withheld edge, sampled non-edge) draws, which :func:`comparison_pairs`
+    lays out for :func:`estimate_auc`.
 
     Returns an (n, 4) int array of dense indices with columns (withheld u,
     withheld v, non-edge a, non-edge b). ``g_train`` holds every node of the
@@ -163,18 +165,31 @@ def _per_pair_batch(g_train: Graph, score: ScoreFn) -> PairsFn:
     return pairs
 
 
-def estimate_auc(g_train: Graph, draws: np.ndarray, scorer: Scorer) -> AucTally:
-    """Score each drawn pair on ``g_train`` and tally the comparisons.
+def comparison_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the 2n pairs that (n, 4) ``draws`` compare, as
+    :func:`estimate_auc` takes them: pair i < n is withheld draw i's
+    (u, v), pair n + i is its non-edge (a, b). Both arrays are read-only,
+    as every level of a trial scores them."""
+    rows, cols = draws[:, [0, 2]].T.ravel(), draws[:, [1, 3]].T.ravel()
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
-    The scorer is called once, on the withheld pairs in draw order followed
-    by the non-edges. Any score that does not compare (NaN) counts as a loss.
+
+def estimate_auc(g_train: Graph, rows: np.ndarray, cols: np.ndarray, scorer: Scorer) -> AucTally:
+    """Score the 2n pairs ``(rows[i], cols[i])`` on ``g_train`` in one call and
+    tally the n comparisons of pair i with pair n + i.
+
+    The first half are the withheld pairs and the second the non-edges, as
+    :func:`comparison_pairs` lays them out. Any score that does not compare
+    (NaN) counts as a loss.
     """
     pairs = scorer.pairs or _per_pair_batch(g_train, scorer.score)
-    rows, cols = draws[:, [0, 2]].T.ravel(), draws[:, [1, 3]].T.ravel()
-    existing, nonexistent = np.split(pairs(rows, cols), 2)
+    n = len(rows) // 2
+    scores = pairs(rows, cols)
+    existing, nonexistent = scores[:n], scores[n:]
     wins = int(np.count_nonzero(existing > nonexistent))
     ties = int(np.count_nonzero(existing == nonexistent))
-    return AucTally(wins=wins, ties=ties, losses=len(draws) - wins - ties)
+    return AucTally(wins=wins, ties=ties, losses=n - wins - ties)
 
 
 @dataclass(frozen=True)
@@ -233,13 +248,13 @@ def run_experiment(
 
     Trial t uses partition seed base_seed + t; no two trial seeds may share
     an absolute value (see :func:`check_split_settings`). The trial's
-    training graph is built once and its comparisons are drawn once; every
-    level is built on that graph and scores those same draws, so per-trial
-    differences are within-partition. Each level's scorer is dropped once
-    its tally is taken, before the next level is built, so at most one
-    level's matrices (an RWR resolvent is n x n) are alive at a time. Level
-    tags must be distinct: records are grouped by tag. Deterministic end to
-    end.
+    training graph is built once, its comparisons are drawn once and laid
+    out once as pairs; every level is built on that graph and scores those
+    same pairs, so per-trial differences are within-partition. Each level's
+    scorer is dropped once its tally is taken, before the next level is
+    built, so at most one level's matrices (an RWR resolvent is n x n) are
+    alive at a time. Level tags must be distinct: records are grouped by
+    tag. Deterministic end to end.
     """
     check_split_settings(trials, test_fraction, comparisons, base_seed)
     if not levels:
@@ -253,13 +268,13 @@ def run_experiment(
         part_seed = base_seed + t
         partition = split_edges(g_full, test_fraction, part_seed)
         g_train = Graph(partition.train, nodes=g_full.nodes)
-        draws = draw_comparisons(
+        rows, cols = comparison_pairs(draw_comparisons(
             partition, g_train, comparisons, derive_seed(part_seed, "auc")
-        )
+        ))
         for factory in levels:
             scorer = factory.build(g_train, derive_seed(part_seed, "build", factory.tag))
             records.append(TrialRecord(part_seed, factory.tag,
-                                       estimate_auc(g_train, draws, scorer)))
+                                       estimate_auc(g_train, rows, cols, scorer)))
             del scorer  # free an RWR level's n x n resolvent before the next is built
     return ExperimentResult(tuple(records))
 

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,6 +29,21 @@ class SaturatedNodeError(RuntimeError):
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+# Bit i of byte b in np.packbits order (most significant bit first), as
+# column b: a row of eight weights times this sums the weights a byte selects.
+_BYTE_BITS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).T.astype(float)
+
+
+class PairFeatures(NamedTuple):
+    """What the local indices read at pairs ``(rows[i], cols[i])`` of dense
+    indices, each array read-only and one entry (or row) per pair."""
+
+    bits: np.ndarray  # (pairs, ceil(n / 64)) uint64: the AND of the two ``neighbor_bits`` rows
+    counts: np.ndarray  # float64 popcount of ``bits``: the number of common neighbors
+    row_degrees: np.ndarray  # ``degrees[rows]``
+    col_degrees: np.ndarray  # ``degrees[cols]``
 
 
 def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,10 +92,12 @@ class Graph:
     ``edges`` ungrouped. All else is derived on first read and cached; all is
     read-only, as every scorer reads it. Common neighbors are counted at the
     pairs asked for (:meth:`common_neighbors`), from the packed adjacency
-    rows of ``neighbor_bits``; no n x n product is formed. The AND and the
-    counts at the last pairs asked for are kept, so levels that score the
-    same pairs share them. RWR reads ``independent_set``, once for all of
-    its levels.
+    rows of ``neighbor_bits``; no n x n product is formed. The
+    :class:`PairFeatures` of the last pairs asked for (the AND, its counts
+    and both endpoint degrees) are kept, so the levels of a trial, which
+    score the same pairs, take them once. Adamic-Adar reads
+    ``adamic_adar_table`` and RWR reads ``independent_set``, each built once
+    for all of the graph's levels.
     """
 
     def __init__(self, pairs: Union[Sequence[Edge], np.ndarray],
@@ -98,8 +115,8 @@ class Graph:
             nodes, ends = ends.ravel()[first[order]], dense[np.sort(keep)]
         self.nodes: np.ndarray = _read_only(np.asarray(nodes, dtype=np.int64).view())
         self.edges: np.ndarray = _read_only(ends)
-        # The last pairs asked of common_neighbor_bits: (key, AND, counts).
-        self._last_pairs: tuple = (None, None, None)
+        # The last pairs asked of pair_features: (key, PairFeatures).
+        self._last_pairs: tuple = (None, None)
 
     @property
     def num_nodes(self) -> int:
@@ -157,26 +174,50 @@ class Graph:
             low, high = low[keep], high[keep]
         return _read_only(np.flatnonzero(taken | live))  # no live node has a live neighbor
 
-    def common_neighbor_bits(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """(len(rows), ceil(n / 64)) uint64, read-only: row i is the AND of the
-        ``neighbor_bits`` rows of ``rows[i]`` and ``cols[i]``. Kept with its
-        :meth:`common_neighbors` counts for the last pairs asked for, keyed by
-        a copy of their dtypes and bytes, and returned again for equal keys."""
+    @cached_property
+    def adamic_adar_table(self) -> np.ndarray:
+        """(ceil(n / 8), 256) float64, read-only: entry [j, b] is the summed
+        Adamic-Adar weight of the nodes 8j ... 8j + 7 set in byte b of a
+        packed row of ``neighbor_bits`` (np.packbits order).
+
+        A node of degree k > 1 weighs 1/log10 k, rounded to the nearest
+        multiple of 2^-s, s = 51 - bit_length(n - 1) (off by at most
+        2^-(s + 1)); one of degree 0 or 1 is never the common neighbor of
+        two distinct nodes and weighs 0. A weight stays below 4, so any sum
+        of at most n of them, < 4n <= 2^(53 - s), is exact in float64.
+        Built from ``degrees`` alone and kept for the graph's lifetime:
+        ceil(n / 8) * 256 doubles (86 KB at n = 332), as large as a table
+        built per call would be.
+        """
+        k = self.degrees
+        n = len(k)
+        weight = np.divide(1.0, np.log10(np.maximum(k, 1)), out=np.zeros(n), where=k > 1)
+        s = 51 - (n - 1).bit_length()
+        grid = np.zeros(-(-n // 8) * 8)
+        grid[:n] = np.ldexp(np.rint(np.ldexp(weight, s)), -s)
+        return _read_only(grid.reshape(-1, 8) @ _BYTE_BITS)
+
+    def pair_features(self, rows: np.ndarray, cols: np.ndarray) -> PairFeatures:
+        """The :class:`PairFeatures` of pairs ``(rows[i], cols[i])`` of dense
+        indices. Kept for the last pairs asked for, keyed by a copy of the
+        dtypes and bytes of ``rows`` and ``cols``, and returned again for
+        equal keys, so a caller that changes its arrays in place, or asks
+        other pairs, gets features computed afresh."""
         key = (rows.dtype, rows.tobytes(), cols.dtype, cols.tobytes())
         if self._last_pairs[0] != key:
-            bits = self.neighbor_bits
+            bits, k = self.neighbor_bits, self.degrees
             both = bits.take(rows, axis=0) & bits.take(cols, axis=0)
             counts = np.bitwise_count(both) @ np.ones(both.shape[1])
-            self._last_pairs = (key, _read_only(both), _read_only(counts))
+            features = PairFeatures(*map(_read_only, (both, counts, k[rows], k[cols])))
+            self._last_pairs = (key, features)
         return self._last_pairs[1]
 
     def common_neighbors(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Float64 count of the common neighbors of each pair ``(rows[i], cols[i])``
-        of dense indices, read-only, kept with :meth:`common_neighbor_bits`; a
-        node has its degree in common with itself. Exact: each count is a sum
-        of at most n small integers."""
-        self.common_neighbor_bits(rows, cols)
-        return self._last_pairs[2]
+        of dense indices, read-only, kept with :meth:`pair_features`; a node
+        has its degree in common with itself. Exact: each count is a sum of
+        at most n small integers."""
+        return self.pair_features(rows, cols).counts
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.num_nodes}, edges={self.num_edges})"

@@ -82,8 +82,9 @@ def build_alias_table(g: Graph, p: float, q: float) -> np.ndarray:
     _check_p_q(p, q)
     indptr, x = sorted_neighbors(g)
     t = np.repeat(np.arange(g.num_nodes), np.diff(indptr))
-    common = g.common_neighbors(t, x)
-    return np.maximum(np.maximum(1.0 / p, (common > 0) * 1.0), (g.degrees[x] - 1 > common) / q)
+    features = g.pair_features(t, x)
+    common, k_x = features.counts, features.col_degrees
+    return np.maximum(np.maximum(1.0 / p, (common > 0) * 1.0), (k_x - 1 > common) / q)
 
 
 def generate_corpus(g: Graph, params: WalkParams, seed: int) -> np.ndarray:

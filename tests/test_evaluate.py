@@ -13,6 +13,7 @@ from linkpred.evaluate import (
     Scorer,
     ScorerFactory,
     TrialRecord,
+    comparison_pairs,
     draw_comparisons,
     estimate_auc,
     paired_difference,
@@ -168,7 +169,7 @@ def test_tally_counts_wins_ties_losses(scorer):
     g = Graph([(0, 1), (1, 2), (2, 3)])  # dense index i is node i
     # win, tie, 0.5 vs 1, and 2 vs NaN: a NaN score never wins or ties
     draws = np.array([[0, 1, 0, 2], [1, 2, 0, 3], [1, 3, 0, 3], [0, 1, 2, 3]])
-    tally = estimate_auc(g, draws, scorer)
+    tally = estimate_auc(g, *comparison_pairs(draws), scorer)
     assert tally == AucTally(wins=1, ties=1, losses=2)
     assert tally.n == 4
     assert tally.auc == 0.625
@@ -187,7 +188,7 @@ def test_batch_form_replaces_per_pair_calls():
         raise AssertionError("per-pair score called although a batch form is set")
 
     # win, tie, 1 vs NaN and 2 vs NaN: a NaN score never wins or ties
-    tally = estimate_auc(g, draws, Scorer("t", per_pair, pairs))
+    tally = estimate_auc(g, *comparison_pairs(draws), Scorer("t", per_pair, pairs))
     assert tally == AucTally(wins=1, ties=1, losses=2)
 
 
@@ -206,13 +207,13 @@ def test_one_scoring_call_per_level_withheld_pairs_first():
         scored.append((i, j))
         return 1.0
 
-    batch = estimate_auc(g_train, draws, Scorer("batch", per_pair, pairs))
+    batch = estimate_auc(g_train, *comparison_pairs(draws), Scorer("batch", per_pair, pairs))
     # the withheld pairs in draw order, then the non-edges
     assert calls == [(draws[:, 0].tolist() + draws[:, 2].tolist(),
                       draws[:, 1].tolist() + draws[:, 3].tolist())]
     assert scored == []
     # a per-pair scorer is called on the same dense pairs, in the same order
-    single = estimate_auc(g_train, draws, Scorer("per_pair", per_pair))
+    single = estimate_auc(g_train, *comparison_pairs(draws), Scorer("per_pair", per_pair))
     assert scored == list(map(tuple, draws[:, :2].tolist() + draws[:, 2:].tolist()))
     # every score is 1: every row ties
     assert batch == single == AucTally(wins=0, ties=300, losses=0)
@@ -294,8 +295,8 @@ def test_tally_matches_the_masked_reference(name, levels):
         scorer = factory.build(g_train, 0)
         per_pair = Scorer(factory.tag, scorer.score)
         expected = _reference_tally(draws, scorer)
-        assert estimate_auc(g_train, draws, scorer) == expected, factory.tag
-        assert estimate_auc(g_train, draws, per_pair) == expected, factory.tag
+        assert estimate_auc(g_train, *comparison_pairs(draws), scorer) == expected, factory.tag
+        assert estimate_auc(g_train, *comparison_pairs(draws), per_pair) == expected, factory.tag
 
 
 @pytest.mark.parametrize("base_seed, trials", [(-1, 3), (-2, 5), (-9, 11)])
@@ -491,7 +492,7 @@ def test_batch_draws_agree_with_the_reference_loop(name):
             law = _law_auc(partition, g_train, scorer)
             for form, draws in (("batch", batch), ("loop", loop)):
                 diffs.setdefault((kind, form), []).append(
-                    estimate_auc(g_train, draws, scorer).auc - law)
+                    estimate_auc(g_train, *comparison_pairs(draws), scorer).auc - law)
     for key, d in diffs.items():
         stderr = np.std(d, ddof=1) / len(d) ** 0.5
         assert abs(np.mean(d)) <= 3 * stderr, (key, np.mean(d), stderr)
@@ -504,7 +505,7 @@ def test_random_scorer_pins_both_estimators():
     partition = split_edges(g, 0.1, 0)
     g_train = Graph(partition.train, nodes=g.nodes)
     draws = draw_comparisons(partition, g_train, 20000, seed=0)
-    tally = estimate_auc(g_train, draws, _random_factory("r").build(g_train, 7))
+    tally = estimate_auc(g_train, *comparison_pairs(draws), _random_factory("r").build(g_train, 7))
     assert tally.auc == pytest.approx(0.75, abs=0.01)
     assert tally.auc_ties_only == pytest.approx(0.5, abs=0.02)
 

@@ -181,9 +181,12 @@ class TestGraphQueries:
         def check(counts, rows, cols):
             expected = [len(adjacency[ids[u]] & adjacency[ids[v]])
                         for u, v in zip(rows.tolist(), cols.tolist())]
-            assert not counts.flags.writeable
-            assert not g.common_neighbor_bits(rows, cols).flags.writeable
+            features = g.pair_features(rows, cols)
+            assert features.counts is counts
+            assert not any(a.flags.writeable for a in features)
             assert counts.tolist() == expected
+            assert features.row_degrees.tolist() == [len(adjacency[ids[u]]) for u in rows]
+            assert features.col_degrees.tolist() == [len(adjacency[ids[v]]) for v in cols]
             return expected
 
         before = check(g.common_neighbors(rows, cols), rows, cols)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from functools import cached_property
 
 import numpy as np
@@ -271,3 +272,69 @@ def test_packed_rows_intersected_once_per_training_graph(monkeypatch):
                    comparisons=200)
     assert len(reads) == 3
     assert len({id(g) for g in reads}) == 3
+
+
+def test_six_local_levels_take_their_pair_features_once(monkeypatch):
+    # One usair_like trial: the first level intersects the packed rows and
+    # gathers both endpoint degrees, once for all six; aa builds its weight
+    # table, which reads the degrees once more; no other level reads either.
+    level, reads = [None], Counter()
+
+    class CountingGraph(Graph):
+        @property
+        def neighbor_bits(self):
+            reads[level[0], "neighbor_bits"] += 1
+            return Graph.neighbor_bits.__get__(self)
+
+        @property
+        def degrees(self):
+            reads[level[0], "degrees"] += 1
+            return Graph.degrees.__get__(self)
+
+        @cached_property
+        def adamic_adar_table(self):
+            reads[level[0], "adamic_adar_table"] += 1
+            return Graph.adamic_adar_table.func(self)
+
+    estimate_auc = evaluate.estimate_auc
+
+    def tagged(*args):
+        level[0] = args[-1].tag
+        try:
+            return estimate_auc(*args)
+        finally:
+            level[0] = None
+
+    monkeypatch.setattr(evaluate, "Graph", CountingGraph)
+    monkeypatch.setattr(evaluate, "estimate_auc", tagged)
+    levels = [local_index_factory(kind) for kind in LOCAL_INDICES]
+    result = run_experiment(datasets.usair_like(1), levels, trials=1)
+    assert result.levels() == tuple(LOCAL_INDICES)
+    assert {key: count for key, count in reads.items() if key[0] is not None} == {
+        ("cn", "neighbor_bits"): 1, ("cn", "degrees"): 1,
+        ("aa", "adamic_adar_table"): 1, ("aa", "degrees"): 1}
+
+
+def test_adamic_adar_table_is_a_read_only_function_of_the_degrees():
+    # A 6-ring and two triangles: the same degrees, different edges. Entry
+    # [0, b] sums the grid weight 1/log10 2 of each node set in byte b.
+    ring = Graph([(i, (i + 1) % 6) for i in range(6)])
+    triangles = Graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    table = ring.adamic_adar_table
+    assert not table.flags.writeable and table.shape == (1, 256)
+    assert np.array_equal(table, triangles.adamic_adar_table)
+    weight = grid_adamic_adar(triangles, [0], [1])[0]  # one common neighbor, node 2
+    assert table[0].tolist() == [weight * bin(b >> 2).count("1") for b in range(256)]
+    # ceil(n / 8) * 256 doubles: 86 KB at n = 332
+    assert train_graph(datasets.usair_like(1), 0.1, 0).adamic_adar_table.nbytes == 42 * 256 * 8
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "kept"])
+def test_adamic_adar_matches_grid_fsum_with_a_fresh_or_kept_table(earlier):
+    g = train_graph(datasets.usair_like(1), 0.1, 0)
+    rng = np.random.default_rng(8)
+    rows, cols, other_rows, other_cols = rng.integers(g.num_nodes, size=(4, 2000))
+    if earlier:  # an earlier call on other pairs builds the table and keeps it
+        indices._adamic_adar(g, other_rows, other_cols)
+    assert ("adamic_adar_table" in vars(g)) == earlier
+    assert np.array_equal(indices._adamic_adar(g, rows, cols), grid_adamic_adar(g, rows, cols))
