@@ -149,7 +149,7 @@ def draw_comparisons(
         raise SaturatedNodeError("every training node is adjacent to every other node")
     rng = np.random.default_rng(seed)
     draws = np.empty((n, 4), dtype=np.intp)
-    draws[:, :2] = partition.test[rng.integers(len(partition.test), size=n)]
+    draws[:, :2] = partition.test.take(rng.integers(len(partition.test), size=n), axis=0)
     draws[:, 2] = starts[rng.integers(starts.size, size=n)]
     draws[:, 3] = sample_non_neighbor(g_train, draws[:, 2], rng)
     return draws
@@ -170,7 +170,8 @@ def comparison_pairs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`estimate_auc` takes them: pair i < n is withheld draw i's
     (u, v), pair n + i is its non-edge (a, b). Both arrays are read-only,
     as every level of a trial scores them."""
-    rows, cols = draws[:, [0, 2]].T.ravel(), draws[:, [1, 3]].T.ravel()
+    rows = np.concatenate((draws[:, 0], draws[:, 2]))
+    cols = np.concatenate((draws[:, 1], draws[:, 3]))
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 

@@ -40,7 +40,7 @@ def _adamic_adar(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     shared = np.flatnonzero(features.counts)  # the rest score 0
     for i in range(0, len(shared), _AA_BLOCK):
         at = shared[i:i + _AA_BLOCK]
-        out[at] = table.take(both[at, :width] + offsets) @ ones
+        out[at] = table.take(both.take(at, axis=0)[:, :width] + offsets) @ ones
     return out
 
 

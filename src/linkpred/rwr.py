@@ -112,16 +112,17 @@ def build_rwr(g: Graph, c: float) -> tuple[np.ndarray, np.ndarray]:
     n = B.shape[0]
     lead = g.independent_set if n > _LEAF else ()
     k = len(lead) if len(lead) > _LEAF else 0
+    flat = B.reshape(-1, copy=False)  # a view, or an error: the writes must reach B
     u, v = g.edges.T
-    N = np.sqrt(B[u, v] * B[v, u])  # 1 / sqrt(k_i k_j) per edge
+    N = np.sqrt(flat.take(u * n + v) * flat.take(v * n + u))  # 1 / sqrt(k_i k_j) per edge
     pos = np.arange(n)
     if k:
         rest = np.ones(n, dtype=bool)
         rest[lead] = False
         pos[np.concatenate((lead, np.flatnonzero(rest)))] = np.arange(n)
-        B[u, v] = B[v, u] = 0.0
+        flat[u * n + v] = flat[v * n + u] = 0.0
         u, v = pos[u], pos[v]
-    B[u, v] = B[v, u] = N
+    flat[u * n + v] = flat[v * n + u] = N
     B *= -c  # over all of B, so a non-edge is -0.0 as in a dense sqrt(P * P.T) * -c
     B.flat[:: n + 1] += 1.0
     return (_eliminate(B, k) if k else _spd_inverse(B)), pos
@@ -133,11 +134,12 @@ def pair_scores(g: Graph, c: float) -> PairsFn:
     each entry scaled as a full scaling of X would scale it. A node of degree
     0 is scaled as one of degree 1, so each pair at it scores X's exact 0."""
     X, pos = build_rwr(g, c)
+    flat, n = X.ravel(), len(X)  # a view: X is build_transition's C-contiguous array
     s = np.sqrt(np.maximum(g.degrees, 1))
     a = (1.0 - c) * s
 
     def pairs(rows, cols):
         r, q = pos[rows], pos[cols]
-        return X[r, q] * a[rows] / s[cols] + X[q, r] * a[cols] / s[rows]
+        return flat.take(r * n + q) * a[rows] / s[cols] + flat.take(q * n + r) * a[cols] / s[rows]
 
     return pairs

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 import warnings
@@ -14,6 +15,7 @@ from linkpred.evaluate import (
     ScorerFactory,
     TrialRecord,
     comparison_pairs,
+    derive_seed,
     draw_comparisons,
     estimate_auc,
     paired_difference,
@@ -96,6 +98,41 @@ def test_golden_embedding_tallies():
     for r in result.records:
         tallies.setdefault(r.level, []).append((r.tally.wins, r.tally.ties, r.tally.losses))
     assert {level: tuple(t) for level, t in tallies.items()} == GOLDEN_EMBED
+
+
+# sha256 over trials 0-19 of run_experiment's defaults on each stand-in at its
+# default seed (test fraction 0.1, 1,000 comparisons): (split, draws), the
+# split digest over each trial's train then test rows and the draws digest
+# over each trial's (n, 4) draws, every array as its dtype, shape and bytes.
+# They pin every row of the split and every draw bit for bit, so a change
+# that claims to keep them (a faster gather, say) must leave them unedited.
+SPLIT_AND_DRAWS_SHA256 = {
+    "chesapeake_like": (
+        "857efe7bac8807d98fa1fef6ca2a1fb552705a558a8aed59d93aef0c97eda8d2",
+        "393972f446cebf521c1bef0b334575385c48cb15144c3e16a7025ffd6a3e1c36"),
+    "usair_like": (
+        "24521e0e1bb6ddc56c7206ff5f40da2df8cbd6edc768443c65be1f9f175fdd4e",
+        "366c80f29b691bd0bcb1773303c7b2e82cc7114bbf98c927302be16e1968d74f"),
+    "florida_like": (
+        "a076467cf503b68dab53aacee69dc6a61d9b3e88f12e671beac3bb5bc1e1c469",
+        "4e58a608001869e3ad7dfefb514b24bc0e4ffbd25e5c267633a34e56cee648d0"),
+    "embedding_benchmark_graph": (
+        "c9bc91b354fd625deccacc274101ba6a25a690be0e2a8c753dac523a9a72923b",
+        "5964b11c1f46bc9e444a74783d36caa5fe3be94e76d6368859ef152f92be5a03"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_AND_DRAWS_SHA256))
+def test_golden_splits_and_draws(name):
+    g = getattr(datasets, name)()
+    split, draws = hashlib.sha256(), hashlib.sha256()
+    for t in range(20):
+        partition = split_edges(g, 0.1, t)
+        drawn = draw_comparisons(partition, Graph(partition.train, nodes=g.nodes), 1000,
+                                 derive_seed(t, "auc"))
+        for h, a in ((split, partition.train), (split, partition.test), (draws, drawn)):
+            h.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    assert (split.hexdigest(), draws.hexdigest()) == SPLIT_AND_DRAWS_SHA256[name]
 
 
 def test_rwr_sweep_frees_each_level_before_the_next():

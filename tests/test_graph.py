@@ -311,6 +311,56 @@ class TestSampleNonNeighbor:
             assert not np.any(drawn == starts)
             assert not np.any(g.adjacency_matrix[starts, drawn])
 
+    @given(edge_lists(), st.data())
+    def test_equals_the_two_d_rounds_with_a_degree_zero_node(self, pairs, data):
+        full = Graph(pairs)
+        # Withhold every edge at dense index 0, so that node has degree 0.
+        g = Graph(full.edges[(full.edges != 0).all(axis=1)], nodes=full.nodes)
+        eligible = np.flatnonzero(g.degrees < g.num_nodes - 1)
+        picks = data.draw(st.lists(st.sampled_from(eligible.tolist()), max_size=40))
+        starts = np.array([0, *picks], dtype=np.intp)
+        _assert_equals_the_two_d_rounds(g, starts, data.draw(st.integers(0, 2**32)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_two_d_rounds_on_a_dense_graph(self, seed):
+        # K_30 less a perfect matching: each node has one non-neighbor, so a
+        # draw is accepted with p = 1/30 and 1,000 starts take many rounds.
+        n = 30
+        g = Graph([(u, v) for u in range(n) for v in range(u + 1, n) if v != u ^ 1])
+        starts = np.random.default_rng(seed).integers(n, size=1000)
+        rounds = _assert_equals_the_two_d_rounds(g, starts, seed)
+        assert rounds >= 5
+
+
+def _two_d_rounds(g, starts, rng):
+    """The rejection rounds of ``sample_non_neighbor`` as written on 2-D
+    advanced indexing, ``A[at, redraw]``, before it read a flat index; the
+    checks before the loop are left out. Returns the draws and the number of
+    rounds."""
+    n = g.num_nodes
+    A = g.adjacency_matrix
+    drawn = np.empty_like(starts)
+    todo = np.arange(starts.size)
+    rounds = 0
+    while todo.size:
+        at = starts[todo]
+        redraw = rng.integers(n, size=todo.size)
+        drawn[todo] = redraw
+        todo = todo[A[at, redraw] | (redraw == at)]
+        rounds += 1
+    return drawn, rounds
+
+
+def _assert_equals_the_two_d_rounds(g, starts, seed):
+    """``sample_non_neighbor`` gives the reference's draws, dtype and shape, and
+    leaves its generator in the reference's state. Returns the rounds taken."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_non_neighbor(g, starts, ours)
+    expected, rounds = _two_d_rounds(g, starts, theirs)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    return rounds
+
 
 def _random_graph(seed, rng):
     n = rng.randint(3, 10)
@@ -502,6 +552,7 @@ class TestInvariants:
         A = g.adjacency_matrix
         assert A.dtype == bool
         assert A.shape == (g.num_nodes, g.num_nodes)
+        assert A.flags.c_contiguous  # so sample_non_neighbor's ravel() is a view
         assert np.array_equal(A, A.T)
         assert not np.diagonal(A).any()
         index = dense_positions(g)
