@@ -46,38 +46,6 @@ class PairFeatures(NamedTuple):
     col_degrees: np.ndarray  # ``degrees[cols]``
 
 
-def _groups(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``rank[i]``: the rank of ``values[i]`` among the distinct values, in
-    ascending order; ``first[r]``: the first position of the value of rank r.
-
-    Values that span at most twice their count (node ids of a graph: n ids
-    over 2m ends) are grouped by counting: first positions go into a
-    span-sized array, ranks are its running count of occupied slots. Wider
-    values (pair keys: span near n^2 over m keys) and empty input take one
-    sort. The span is taken from the min and max as Python ints, so int64
-    extremes cannot overflow it.
-    """
-    n = len(values)
-    if n:
-        lo = int(values.min())
-        span = int(values.max()) - lo + 1
-        if span <= 2 * n:
-            offset = values - lo
-            first = np.full(span, n)
-            np.minimum.at(first, offset, np.arange(n))
-            occupied = first < n
-            return (np.cumsum(occupied) - 1)[offset], first[occupied]
-    order = np.argsort(values)  # not stable: ``first`` takes the minimum position
-    ascending = values[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = ascending[1:] != ascending[:-1]
-    rank = np.empty_like(order)
-    rank[order] = np.cumsum(new) - 1
-    first = np.full(np.count_nonzero(new), n)
-    np.minimum.at(first, rank, np.arange(n))
-    return rank, first
-
-
 class Graph:
     """Immutable undirected simple graph over integer node ids, stored as two arrays.
 
@@ -85,12 +53,13 @@ class Graph:
     is its dense index (id ranges may have gaps). ``edges``: the (m, 2) int64
     dense indices, one row per undirected edge in first-seen order and input
     orientation; duplicate pairs (either orientation) collapse to the first.
-    Each is grouped by :func:`_groups`, of the ids or the pair keys: by
-    counting where the values are compact, as ids numbered from 0 are, else
-    by one sort. Given ``nodes``, ``pairs`` must be distinct rows of dense
-    indices into them, as :func:`split_edges` gives, and are kept as the
-    ``edges`` ungrouped. All else is derived on first read and cached; all is
-    read-only, as every scorer reads it. Common neighbors are counted at the
+    ``pairs`` must be empty or (m, 2) integers that fit int64; other shapes
+    and dtypes (floats, bools) raise :class:`ValueError`. The ids, then the
+    pair keys ``min * n + max``, are grouped by ``np.unique``. Given
+    ``nodes``, ``pairs`` must be distinct rows of dense indices into them, as
+    :func:`split_edges` gives, and are kept as the ``edges`` ungrouped. All
+    else is derived on first read and cached; all is read-only, as every
+    scorer reads it. Common neighbors are counted at the
     pairs asked for (:meth:`common_neighbors`), from the packed adjacency
     rows of ``neighbor_bits``; no n x n product is formed. The
     :class:`PairFeatures` of the last pairs asked for (the AND, its counts
@@ -102,17 +71,24 @@ class Graph:
 
     def __init__(self, pairs: Union[Sequence[Edge], np.ndarray],
                  nodes: Optional[np.ndarray] = None):
-        ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        ends = np.asarray(pairs)
+        if not ends.size:
+            ends = np.empty((0, 2), dtype=np.int64)
+        elif (ends.ndim != 2 or ends.shape[1] != 2 or ends.dtype.kind not in "iu"
+              or not np.can_cast(ends.dtype, np.int64)):
+            raise ValueError(f"pairs must be (m, 2) int64 ids, got {ends.dtype} {ends.shape}")
+        ends = ends.astype(np.int64, copy=False).view()  # frozen below, not the caller's array
         loops = ends[ends[:, 0] == ends[:, 1]]
         if len(loops):
             raise ValueError(
                 f"self-loop ({loops[0, 0]}, {loops[0, 1]}) not allowed in a simple graph")
         if nodes is None:
-            rank, first = _groups(ends.ravel())
+            ids, first, rank = np.unique(ends.ravel(), return_index=True, return_inverse=True)
             order = np.argsort(first)  # ranks in first-seen order
             dense = np.argsort(order)[rank].reshape(-1, 2)
-            _, keep = _groups(np.minimum(*dense.T) * len(first) + np.maximum(*dense.T))
-            nodes, ends = ends.ravel()[first[order]], dense[np.sort(keep)]
+            _, keep = np.unique(np.minimum(*dense.T) * len(ids) + np.maximum(*dense.T),
+                                return_index=True)
+            nodes, ends = ids[order], dense[np.sort(keep)]
         self.nodes: np.ndarray = _read_only(np.asarray(nodes, dtype=np.int64).view())
         self.edges: np.ndarray = _read_only(ends)
         # The last pairs asked of pair_features: (key, PairFeatures).
@@ -242,9 +218,6 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
         # bytes.splitlines breaks lines where text mode does: at \n, \r and \r\n.
         lineno = len((data[: exc.start] + b"x").splitlines())
         raise EdgeListParseError(f"line {lineno}: not UTF-8 text") from None
-    # int() alone also takes "1_000" and non-ASCII digits such as "٣"; a text
-    # with neither an underscore nor a non-ASCII character holds no such id.
-    suspect = "_" in text or not text.isascii()
     pairs: list[Edge] = []
     dropped_self_loops = 0
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -256,7 +229,8 @@ def load_edge_list(path: Union[str, Path]) -> tuple[Graph, int]:
                 f"line {lineno}: expected two node ids, got {len(tokens)} tokens"
             )
         try:
-            if suspect and ("_" in line or not (tokens[0] + tokens[1]).isascii()):
+            ids = tokens[0] + tokens[1]  # int() alone also takes "1_000" and "\u0663" (3)
+            if "_" in ids or not ids.isascii():
                 raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:

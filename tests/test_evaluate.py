@@ -187,6 +187,23 @@ def test_training_graph_built_once_per_trial(monkeypatch):
     assert all(nodes is g.nodes for nodes in calls)
 
 
+def test_no_trial_groups_node_ids(monkeypatch):
+    # Every training graph is given the full graph's nodes, so no trial runs
+    # the np.unique grouping of Graph(pairs).
+    built = []
+
+    class GivenNodesOnly(Graph):
+        def __init__(self, pairs, nodes=None):
+            assert nodes is not None, "a trial grouped node ids"
+            built.append(nodes)
+            super().__init__(pairs, nodes)
+
+    monkeypatch.setattr(evaluate, "Graph", GivenNodesOnly)
+    result = run_experiment(datasets.usair_like(), GOLDEN_LEVELS, trials=2)
+    assert len(built) == 2
+    assert len(result.records) == 2 * len(GOLDEN_LEVELS)
+
+
 TALLY_SCORES = {(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0, (1, 3): 0.5,
                 (2, 3): float("nan")}
 

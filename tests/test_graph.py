@@ -13,7 +13,6 @@ from linkpred.graph import (
     EdgePartition,
     Graph,
     SaturatedNodeError,
-    _groups,
     load_edge_list,
     sample_non_neighbor,
     split_edges,
@@ -395,10 +394,42 @@ wide_edge_lists = st.lists(st.integers(-2**63, 2**63 - 1), min_size=2, max_size=
                            unique=True).flatmap(
     lambda ids: st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids))
                          .filter(lambda e: e[0] != e[1]), max_size=30))
+# Edge lists over at most 12 consecutive ids below 0 or at either int64 boundary.
+shifted_edge_lists = st.tuples(st.sampled_from([-40, -2**63, 2**63 - 12]), edge_lists()).map(
+    lambda shift: [(shift[0] + u, shift[0] + v) for u, v in shift[1]])
+
+
+class TestInputShape:
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1, 2), (3, 4, 5)],  # not (0, 1), (2, 3), (4, 5)
+        [1, 2, 3, 4],  # not (1, 2), (3, 4)
+        [(0.5, 1.7)],  # not (0, 1)
+        [(True, False)],
+        np.array([[0, 1]], dtype=np.uint64),  # not every uint64 fits int64
+        [(2**63, 1)],  # numpy reads it as float64
+    ], ids=["three_columns", "flat", "float", "bool", "uint64", "beyond_int64"])
+    def test_anything_but_m_by_2_integers_raises(self, pairs):
+        with pytest.raises(ValueError, match=r"^pairs must be \(m, 2\) int64 ids, got "):
+            Graph(pairs)
+
+    @pytest.mark.parametrize("pairs", [[], (), np.empty((0, 2)), np.empty(0, dtype=np.int64)],
+                             ids=["list", "tuple", "float_array", "flat_array"])
+    def test_empty_input_is_the_empty_graph(self, pairs):
+        g = Graph(pairs)
+        assert (g.nodes.shape, g.edges.shape) == ((0,), (0, 2))
+        assert g.nodes.dtype == g.edges.dtype == np.int64
+
+    def test_given_nodes_the_rows_are_kept_uncopied(self):
+        full = datasets.usair_like()
+        train = split_edges(full, 0.1, 0).train
+        assert np.shares_memory(Graph(train, nodes=full.nodes).edges, train)
+        rows = np.array(G1_EDGES, dtype=np.int64)  # a caller's writable rows stay writable
+        assert np.shares_memory(Graph(rows, nodes=np.arange(5)).edges, rows)
+        assert rows.flags.writeable
 
 
 class TestReferenceCanonicalizer:
-    @given(st.one_of(edge_lists(), wide_edge_lists))
+    @given(st.one_of(edge_lists(), wide_edge_lists, shifted_edge_lists))
     def test_matches_the_per_edge_loop(self, pairs):
         pairs = pairs + [(v, u) for u, v in pairs[::3]]  # reversed duplicates
         node_list, edge_list, adjacency = _reference_graph(pairs)
@@ -422,7 +453,18 @@ class TestReferenceCanonicalizer:
         ([(5, 2**63 - 1), (-2**63, 5), (2**63 - 1, -2**63), (0, -2**63), (-2**63, 2**63 - 1)],
          (5, 2**63 - 1, -2**63, 0), ((5, 2**63 - 1), (-2**63, 5), (2**63 - 1, -2**63),
                                      (0, -2**63))),
-    ], ids=["empty", "one_edge", "reversed_duplicates", "extreme_ids"])
+        # ids compact, far apart, negative, or at either int64 boundary
+        ([(5, 3), (5, 4), (3, 4), (4, 3)], (5, 3, 4), ((5, 3), (5, 4), (3, 4))),
+        ([(0, 10**12), (10**12, 0)], (0, 10**12), ((0, 10**12),)),
+        ([(-7, -9), (-7, -8), (-9, -8), (-8, -7)], (-7, -9, -8), ((-7, -9), (-7, -8), (-9, -8))),
+        ([(-2**63, -2**63 + 1), (-2**63 + 1, -2**63)], (-2**63, -2**63 + 1),
+         ((-2**63, -2**63 + 1),)),
+        ([(2**63 - 1, 2**63 - 3), (2**63 - 3, 2**63 - 1)], (2**63 - 1, 2**63 - 3),
+         ((2**63 - 1, 2**63 - 3),)),
+        ([(2**63 - 1, -2**63), (-2**63, 2**63 - 1)], (2**63 - 1, -2**63), ((2**63 - 1, -2**63),)),
+    ], ids=["empty", "one_edge", "reversed_duplicates", "extreme_ids", "compact", "wide",
+            "compact_negative", "int64_min_and_min_plus_1", "int64_max_and_max_minus_2",
+            "int64_min_and_max"])
     def test_edge_cases(self, pairs, node_list, edge_list):
         g = Graph(pairs)
         assert (tuple(g.nodes.tolist()), g.edge_list) == (node_list, edge_list)
@@ -435,37 +477,6 @@ class TestReferenceCanonicalizer:
         A = g.adjacency_matrix.astype(int)
         assert np.array_equal(_every_pair_counts(g), A @ A)
         assert g.degrees.sum() == 2 * len(edge_list)
-
-
-_INT64 = (-2**63, 2**63 - 1)
-
-
-@st.composite
-def _values_to_group(draw):
-    """int64 values: compact (span at most twice the count, grouped by
-    counting), wide, negative, or at either int64 boundary."""
-    lo = draw(st.sampled_from([0, -40, _INT64[0], _INT64[1] - 40]))
-    width = draw(st.sampled_from([3, 40]))
-    near = st.integers(lo, lo + width)
-    wide = st.integers(*_INT64)
-    return draw(st.lists(st.one_of(near, wide) if draw(st.booleans()) else near, max_size=40))
-
-
-class TestGroups:
-    @given(_values_to_group())
-    @example([])
-    @example([5, 3, 5, 4, 3])  # compact: counted
-    @example([0, 10**12, 0])  # wide: sorted
-    @example([-7, -9, -7, -8])
-    @example([_INT64[0], _INT64[0] + 1, _INT64[0]])
-    @example([_INT64[1], _INT64[1] - 2, _INT64[1]])
-    @example([_INT64[1], _INT64[0], _INT64[1]])
-    def test_matches_np_unique(self, values):
-        values = np.array(values, dtype=np.int64)
-        _, first, rank = np.unique(values, return_index=True, return_inverse=True)
-        got_rank, got_first = _groups(values)
-        assert np.array_equal(got_rank, rank) and np.array_equal(got_first, first)
-        assert got_rank.dtype == got_first.dtype == np.int64
 
 
 def _greedy_independent_set(g):
