@@ -8,12 +8,14 @@ formula over the pairs' ``Graph.pair_features``: the AND of the two packed
 adjacency rows, its popcount (the shared-neighbor count) and the two
 endpoint degrees. The graph keeps them for the last pairs asked for, so the
 six levels of a trial, which score the same pairs, take them once.
-Adamic-Adar reads that AND a byte at a time through the graph's
-``adamic_adar_table`` of summed weights, built once per graph, with each
-weight 1/log10 k rounded to a fixed-point grid, so that every score is an
-exact float64 sum: it has the same bits in any summation order, and pairs
-whose shared neighbors have the same degrees tie exactly. Logarithms are
-base 10 throughout; AUC ranking is invariant to the base.
+Adamic-Adar reads that AND one byte column at a time at the pairs with a
+common neighbor: byte b of column j adds entry [j, b] of the graph's
+``adamic_adar_table`` of summed weights, built once per graph, so that its
+temporaries are a copy of those AND rows and one column's weights. Each
+weight 1/log10 k is rounded to a fixed-point grid, so that every score is
+an exact float64 sum: it has the same bits in any summation order, and
+pairs whose shared neighbors have the same degrees tie exactly. Logarithms
+are base 10 throughout; AUC ranking is invariant to the base.
 """
 
 from __future__ import annotations
@@ -23,24 +25,15 @@ import numpy as np
 from .graph import Graph
 
 
-# Pairs per Adamic-Adar block, so that its temporaries stay small whatever the
-# number of pairs: at n = 332 a block's table indices are 256 x 42 int32
-# (43 KB) and the weights they pick 256 x 42 float64 (86 KB).
-_AA_BLOCK = 256
-
-
 def _adamic_adar(g: Graph, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    table = g.adamic_adar_table  # taken at j * 256 + b for byte b of byte column j
-    width = len(table)  # bytes of a packed row that hold columns; the rest are padding
-    offsets = np.arange(width, dtype=np.int32) * 256
-    ones = np.ones(width)
     features = g.pair_features(rows, cols)
-    both = features.bits.view(np.uint8)
+    shared = np.flatnonzero(features.counts > 0)  # the rest score 0
+    both = features.bits.view(np.uint8).take(shared, axis=0)
+    sums = np.zeros(len(shared))
+    for j, weights in enumerate(g.adamic_adar_table):  # byte column j; the rest are padding
+        sums += weights.take(both[:, j])
     out = np.zeros(len(rows))
-    shared = np.flatnonzero(features.counts)  # the rest score 0
-    for i in range(0, len(shared), _AA_BLOCK):
-        at = shared[i:i + _AA_BLOCK]
-        out[at] = table.take(both.take(at, axis=0)[:, :width] + offsets) @ ones
+    out[shared] = sums
     return out
 
 

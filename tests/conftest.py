@@ -82,7 +82,8 @@ def grid_adamic_adar(g: Graph, rows, cols) -> list[float]:
     no summation with the packed-byte tables."""
     k, A = g.degrees, g.adjacency_matrix
     s = 51 - (g.num_nodes - 1).bit_length()
-    weight = np.divide(1.0, np.log10(k), out=np.zeros(len(k)), where=k > 1)
+    with np.errstate(divide="ignore"):  # log10 0 at a node of degree 0, weighed 0
+        weight = np.divide(1.0, np.log10(k), out=np.zeros(len(k)), where=k > 1)
     grid = np.rint(weight * 2.0**s) / 2.0**s
     return [math.fsum(grid[A[r] & A[c]]) for r, c in zip(rows, cols)]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from functools import cached_property
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (dense_positions, edge_lists, grid_adamic_adar, neighbor_sets,
                       random_connected_graph, train_graph)
 from linkpred import datasets, evaluate, indices
-from linkpred.evaluate import derive_seed, draw_comparisons, run_experiment
+from linkpred.evaluate import comparison_pairs, derive_seed, draw_comparisons, run_experiment
 from linkpred.graph import Graph, split_edges
 from linkpred.indices import LOCAL_INDICES
 from linkpred.pipelines import local_index_factory
@@ -162,22 +163,58 @@ def test_adamic_adar_guard_is_unreachable(pairs):
 
 
 def test_adamic_adar_blocks_match_grid_fsum():
-    # The 1,000 non-edge draws of a usair_like trial repeat pairs and end in a
-    # partial block; every ordered pair of a florida_like training graph spans
-    # many blocks. The math.fsum of each pair's grid weights is the reference,
-    # bit for bit.
+    # The 1,000 non-edge draws of a usair_like trial repeat pairs and are no
+    # multiple of 256; every ordered pair of a florida_like training graph is
+    # many times that. The math.fsum of each pair's grid weights is the
+    # reference, bit for bit.
     full = datasets.usair_like(1)
     partition = split_edges(full, 0.1, 0)
     usair = Graph(partition.train, nodes=full.nodes)
     draws = draw_comparisons(partition, usair, 1000, derive_seed(0, "auc"))
     florida = train_graph(datasets.florida_like(1), 0.1, 0)
     keys = draws[:, 2] * usair.num_nodes + draws[:, 3]
-    assert len(np.unique(keys)) < len(keys) and len(keys) % indices._AA_BLOCK
+    assert len(np.unique(keys)) < len(keys) and len(keys) % 256
     cases = ((usair, draws[:, 2], draws[:, 3]), (florida, *_ordered_pairs(florida)[1:]))
     for g, rows, cols in cases:
-        assert len(rows) > indices._AA_BLOCK
+        assert len(rows) > 256
         assert np.array_equal(indices._adamic_adar(g, rows, cols),
                               grid_adamic_adar(g, rows, cols))
+
+
+@pytest.mark.parametrize("isolated", [False, True], ids=["connected", "degree-0"])
+@pytest.mark.parametrize("n", [15, 16, 17, 63, 64, 65])
+def test_adamic_adar_reads_every_byte_column(n, isolated):
+    # n = 8k - 1, 8k and 8k + 1: the last byte column of a packed row holds
+    # 7, 8 or 1 nodes, then zero padding to the next 64-bit word. With
+    # "degree-0", the highest dense index loses its edges but keeps its place.
+    full = random_connected_graph(n, 3 * n, seed=n)
+    keep = (full.edges != n - 1).all(axis=1) if isolated else slice(None)
+    g = Graph(full.edges[keep], nodes=full.nodes)
+    assert g.adamic_adar_table.shape == (-(-n // 8), 256)
+    assert g.degrees[-1] == 0 if isolated else g.degrees[-1] >= 2
+    _, rows, cols = _ordered_pairs(g)
+    assert np.array_equal(indices._adamic_adar(g, rows, cols), grid_adamic_adar(g, rows, cols))
+
+
+def test_adamic_adar_temporaries_stay_small():
+    # One usair_like trial's 2,000 pairs (1,155 of them with a common
+    # neighbor), their features and the weight table built beforehand. Read a
+    # byte column at a time, the call peaks at ~93 KB: the shared rows of the
+    # AND (55 KB), one column's take and the result. A gather of whole
+    # 42-entry rows of table weights per 256-pair block peaks at ~243 KB.
+    full = datasets.usair_like(1)
+    partition = split_edges(full, 0.1, 0)
+    g = Graph(partition.train, nodes=full.nodes)
+    rows, cols = comparison_pairs(draw_comparisons(partition, g, 1000, derive_seed(0, "auc")))
+    g.pair_features(rows, cols)  # both kept on g, so the call below only reads them
+    g.adamic_adar_table
+    tracemalloc.start()
+    try:
+        indices._adamic_adar(g, rows, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150_000
 
 
 # (partition seed, draw row) of chesapeake_like trials whose withheld and
@@ -204,14 +241,13 @@ def test_adamic_adar_ties_equal_shared_degrees(seed, row):
 
 @given(edge_lists(), st.integers(0, 2**32 - 1))
 def test_adamic_adar_bits_do_not_depend_on_pair_order(pairs, seed):
-    # Every ordered pair, repeated past two block boundaries, then shuffled:
-    # each score has the same bits in any position and any block, and as the
-    # only pair asked for.
+    # Every ordered pair, repeated to 2 * 256 + 1 pairs, then shuffled: each
+    # score has the same bits in any position, and as the only pair asked for.
     g = Graph(pairs)
     _, rows, cols = _ordered_pairs(g)
     alone = [indices._adamic_adar(g, rows[i:i + 1], cols[i:i + 1])[0]
              for i in range(len(rows))]
-    rows, cols = (np.resize(x, 2 * indices._AA_BLOCK + 1) for x in (rows, cols))
+    rows, cols = (np.resize(x, 2 * 256 + 1) for x in (rows, cols))
     scores = indices._adamic_adar(g, rows, cols)
     assert scores.tolist() == np.resize(alone, len(rows)).tolist()
     order = np.random.default_rng(seed).permutation(len(rows))
